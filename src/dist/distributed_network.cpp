@@ -87,8 +87,8 @@ std::size_t DistributedNetwork::run_worker(
   // children's copies die with _exit), matching the sequential executor's
   // single-sink contract.
   const local::RoundStatsSink sink = (w == 0) ? sink_ : local::RoundStatsSink{};
-  return run_rank_loop(topology_, partition_, transport, factory, max_rounds,
-                       epoch_, sink, output_fn_, programs_, rec);
+  return run_rank_loop(full_view(topology_), partition_, transport, factory,
+                       max_rounds, epoch_, sink, output_fn_, programs_, rec);
 }
 
 std::size_t DistributedNetwork::run(const local::ProgramFactory& factory,

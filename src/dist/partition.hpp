@@ -5,12 +5,8 @@
 /// executors: degree-balanced contiguous node ranges, edge-cut statistics,
 /// and — for the multi-process `DistributedNetwork` — the full per-worker
 /// sub-view of the port space (local delivery tables plus the cut-edge
-/// routing tables of the halo exchange).
-///
-/// `degree_balanced_boundaries` moved here from runtime/parallel_network.hpp
-/// so both executors split by the same rule; `runtime::ParallelNetwork`
-/// still re-exports its shard boundaries and now reports the same
-/// `PartitionStats` as `dist::Partition`.
+/// routing tables of the halo exchange). Both executors split by the same
+/// `degree_balanced_boundaries` rule and report the same `PartitionStats`.
 
 #include <cstdint>
 #include <vector>

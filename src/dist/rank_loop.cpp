@@ -230,7 +230,9 @@ std::size_t run_rank_loop(
   std::vector<std::uint64_t> gathered;
   const std::uint64_t us_gather = us_now();
   if (recorder != nullptr) {
-    ins.rounds_executed.set(rounds);
+    // Every rank executed every round: only rank 0 counts them, so the
+    // merged fleet total is the run's round count.
+    if (w == 0) ins.rounds_executed.add(rounds);
     const std::vector<std::uint64_t> obs_block = recorder->drain_words();
     gathered.push_back(obs_block.size());
     gathered.insert(gathered.end(), obs_block.begin(), obs_block.end());
@@ -256,21 +258,14 @@ std::size_t run_rank_loop(
   return rounds;
 }
 
-std::size_t run_rank_loop(
-    const local::NetworkTopology& topo, const Partition& part,
-    Transport& transport, const local::ProgramFactory& factory,
-    std::size_t max_rounds, std::uint64_t& epoch,
-    const local::RoundStatsSink& sink, const local::OutputFn& output_fn,
-    std::vector<std::unique_ptr<local::NodeProgram>>& programs,
-    obs::Recorder* recorder) {
+RankView full_view(const local::NetworkTopology& topo) {
   RankView view;
   view.num_nodes = topo.graph().num_nodes();
   view.port_offsets = topo.port_offsets().data();
   view.offset_first = 0;
   view.construct_all = true;
   view.env_of = [&topo](graph::NodeId v) { return topo.make_env(v); };
-  return run_rank_loop(view, part, transport, factory, max_rounds, epoch,
-                       sink, output_fn, programs, recorder);
+  return view;
 }
 
 namespace {
@@ -306,15 +301,10 @@ void assemble_outputs(const Transport& transport, const Partition& part,
 
 void collect_fleet_obs(const Transport& transport, obs::Recorder& recorder) {
   for (std::size_t w = 0; w < transport.num_ranks(); ++w) {
-    collect_rank_obs(transport, w, recorder);
+    const auto [words, count] = transport.gathered(w);
+    const std::size_t end = skip_obs_block(words, count);
+    if (end > 1) recorder.merge_words(words + 1, end - 1);
   }
-}
-
-void collect_rank_obs(const Transport& transport, std::size_t rank,
-                      obs::Recorder& recorder) {
-  const auto [words, count] = transport.gathered(rank);
-  const std::size_t end = skip_obs_block(words, count);
-  if (end > 1) recorder.merge_words(words + 1, end - 1);
 }
 
 }  // namespace ds::dist

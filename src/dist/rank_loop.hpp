@@ -3,12 +3,14 @@
 /// \file rank_loop.hpp
 /// The transport-independent round protocol of the distributed executors.
 ///
-/// `run_rank_loop` is the per-rank body that both `dist::DistributedNetwork`
-/// (one forked worker per rank, `ShmTransport`) and `net::TcpNetwork` (one
-/// OS process per rank, `net::TcpTransport`) execute. Factoring it out is
-/// what guarantees the two runtimes implement the *same* protocol — the
-/// transports only move bytes and synchronize; every delivery/ordering/
-/// liveness rule lives here, once:
+/// `run_rank_loop` is the per-rank body of every distributed run. Two
+/// drivers call it: `dist::DistributedNetwork` (one forked worker per rank
+/// over a `ShmTransport`) and `net::Fleet` (one OS process per rank over a
+/// `net::TcpTransport`), which every TCP runtime — one-shot `TcpNetwork`
+/// runs, the resident serve daemon and the in-situ scale path — runs its
+/// rounds through. Keeping one body is what guarantees the runtimes
+/// implement the *same* protocol: the transports only move bytes and
+/// synchronize; every delivery/ordering/liveness rule lives here, once:
 ///
 ///   1. invoke the factory for every node in node order (stateful factories
 ///      observe the sequential call sequence) and keep the owned range;
@@ -72,17 +74,9 @@ struct RankView {
   std::function<local::NodeEnv(graph::NodeId)> env_of;
 };
 
-/// Core of `run_rank_loop` over a `RankView` — see the convenience overload
-/// below for the contract. The in-situ runner calls this directly.
-std::size_t run_rank_loop(const RankView& view, const Partition& part,
-                          Transport& transport,
-                          const local::ProgramFactory& factory,
-                          std::size_t max_rounds, std::uint64_t& epoch,
-                          const local::RoundStatsSink& sink,
-                          const local::OutputFn& output_fn,
-                          std::vector<std::unique_ptr<local::NodeProgram>>&
-                              programs,
-                          obs::Recorder* recorder = nullptr);
+/// The view of a fully materialized topology: every node constructed in
+/// node order, global port offsets. `topo` must outlive the view.
+RankView full_view(const local::NetworkTopology& topo);
 
 /// Runs rank `transport.rank()`'s full share of one distributed run:
 /// construct programs, execute rounds, gather outputs. Returns the executed
@@ -91,14 +85,15 @@ std::size_t run_rank_loop(const RankView& view, const Partition& part,
 /// non-empty, receives per-round stats from `Transport::round_totals` (only
 /// install it on ranks where the transport aggregates totals). `programs`
 /// is filled with the owned range's instances (size n, null outside the
-/// range) and stays alive for the caller's `program()` accessor. Throws
+/// range, or the owned range at local indices for a rank-local view) and
+/// stays alive for the caller's `program()` accessor. Throws
 /// ds::CheckError when `max_rounds` is hit with unhalted nodes — the caller
 /// is responsible for turning that into a collective `Transport::abort`.
 /// `recorder`, when non-null, receives this rank's phase spans and round
 /// counters and is *drained* into the gather payload (see the file
 /// comment); merge the fleet's blocks back with `collect_fleet_obs`.
-std::size_t run_rank_loop(const local::NetworkTopology& topo,
-                          const Partition& part, Transport& transport,
+std::size_t run_rank_loop(const RankView& view, const Partition& part,
+                          Transport& transport,
                           const local::ProgramFactory& factory,
                           std::size_t max_rounds, std::uint64_t& epoch,
                           const local::RoundStatsSink& sink,
@@ -115,18 +110,13 @@ std::size_t run_rank_loop(const local::NetworkTopology& topo,
 void assemble_outputs(const Transport& transport, const Partition& part,
                       local::OutputTable& out);
 
-/// Merges every rank's gathered observability block into `recorder` (which
-/// each rank drained into its payload — including the caller's own rank, so
-/// merging all blocks reconstructs exact fleet totals without double
-/// counting). Call wherever `Transport::gathered` is valid for every rank.
+/// Merges every rank's gathered observability block into `recorder` —
+/// including the caller's own, which its drain removed from the local
+/// state, so the merge reconstructs exact fleet totals without double
+/// counting. Drained blocks carry only what a rank recorded since its last
+/// drain (see obs/recorder.hpp), so every rank of a one-shot or a standing
+/// fleet merges every block. Call wherever `Transport::gathered` is valid
+/// for every rank.
 void collect_fleet_obs(const Transport& transport, obs::Recorder& recorder);
-
-/// Merges only `rank`'s gathered observability block into `recorder`.
-/// Long-lived fleets (the serving daemon) use this on followers: re-merging
-/// the whole fleet there would copy rank 0's cumulative totals into the
-/// follower's recorder, and the next run's drain would feed that copy back
-/// to rank 0, double counting every standing counter.
-void collect_rank_obs(const Transport& transport, std::size_t rank,
-                      obs::Recorder& recorder);
 
 }  // namespace ds::dist

@@ -137,7 +137,7 @@ std::size_t Network::run(const ProgramFactory& factory, std::size_t max_rounds,
     ++round;
   }
   if (rec != nullptr) {
-    ins.rounds_executed.set(round);
+    ins.rounds_executed.add(round);
     rec->publish_round(round);  // final snapshot includes rounds.executed
   }
   collect_outputs_from_programs();

@@ -10,6 +10,7 @@
 #include "dist/partition.hpp"
 #include "dist/rank_loop.hpp"
 #include "local/program.hpp"
+#include "net/fleet.hpp"
 #include "net/rendezvous.hpp"
 #include "obs/recorder.hpp"
 #include "support/check.hpp"
@@ -53,14 +54,15 @@ std::size_t owner_of(const std::vector<graph::NodeId>& bounds,
   return static_cast<std::size_t>(it - (bounds.begin() + 1));
 }
 
-/// The body of the run; any exception escaping it is turned into a
-/// collective abort by the caller.
+/// The body of the run; the caller guards it, so any exception escaping it
+/// aborts the fleet collectively.
 InsituResult run_body(const algo::Spec& spec, const algo::Params& params,
                       std::uint64_t seed,
                       const graph::DistributedGenerator& dg,
-                      const std::vector<graph::NodeId>& bounds,
-                      TcpTransport& transport, obs::Recorder* recorder) {
+                      const std::vector<graph::NodeId>& bounds, Fleet& fleet,
+                      obs::Recorder* recorder) {
   const algo::InsituHooks& hooks = *spec.insitu;
+  TcpTransport& transport = fleet.transport();
   const std::size_t ranks = bounds.size() - 1;
   const std::size_t rank = transport.rank();
   const std::size_t n = dg.num_nodes();
@@ -108,19 +110,6 @@ InsituResult run_body(const algo::Spec& spec, const algo::Params& params,
   incident.shrink_to_fit();
 
   const dist::Partition part = dist::Partition::rank_local(bounds, rank, csr);
-  transport.attach_partition(part);
-
-  // Observability agreement — same pre-round collective as TcpNetwork::run:
-  // when any rank observes, every rank records (the merged export needs one
-  // lane per rank). Runs unconditionally to stay in lockstep.
-  const std::size_t observers =
-      transport.sync_liveness(recorder != nullptr ? 1 : 0);
-  std::unique_ptr<obs::Recorder> fleet_recorder;
-  if (observers != 0 && recorder == nullptr) {
-    fleet_recorder = std::make_unique<obs::Recorder>();
-    recorder = fleet_recorder.get();
-  }
-  transport.set_recorder(recorder);
 
   // --- The unmodified round protocol over a rank-local view. The factory
   // is constructed for the owned range only (InsituHooks::make_factory is
@@ -150,12 +139,9 @@ InsituResult run_body(const algo::Spec& spec, const algo::Params& params,
   };
 
   InsituResult result;
-  std::uint64_t epoch = 0;
   std::vector<std::unique_ptr<local::NodeProgram>> programs;
-  result.rounds =
-      dist::run_rank_loop(view, part, transport, factory,
-                          hooks.max_rounds(params), epoch, {}, {}, programs,
-                          recorder);
+  result.rounds = fleet.run(view, part, factory, hooks.max_rounds(params),
+                            programs, recorder);
 
   // --- Collection collective 1: extract the owned output words locally,
   // then drop the programs (the round loop's largest remaining footprint).
@@ -263,14 +249,6 @@ InsituResult run_body(const algo::Spec& spec, const algo::Params& params,
                       csr.offsets[v - first + 1] - off, value_of);
   }
 
-  // The kOutputs re-broadcast replicated every rank's observability block,
-  // so any recording rank can merge exact fleet totals locally. The final
-  // live snapshot then carries the merged fleet-wide view.
-  if (recorder != nullptr) {
-    dist::collect_fleet_obs(transport, *recorder);
-    recorder->publish_round(result.rounds);
-  }
-
   result.output_digest = fleet_digest;
   result.output_sum = fleet_sum;
   result.summary = hooks.summarize(fleet_sum, result.rounds);
@@ -327,16 +305,11 @@ InsituResult run_insitu(const algo::Spec& spec, const algo::Params& params,
   digests.topology = instance_digest(gen.canonical() + "|algo=" + spec.name +
                                      "|seed=" + std::to_string(seed));
   digests.partition = partition_digest(ranks, bounds);
-  TcpTransport transport(config.rank, config.hosts, digests, config.transport,
-                         std::move(config.listen));
-  try {
-    return run_body(spec, params, seed, dg, bounds, transport, recorder);
-  } catch (const std::exception& e) {
-    // Same rule as TcpNetwork::run: a locally raised failure must fail the
-    // fleet — peers are blocked in a collective this rank will never join.
-    transport.abort(e.what());
-    throw;
-  }
+  Fleet fleet(config.rank, config.hosts, digests, config.transport,
+              std::move(config.listen));
+  return fleet.guarded([&] {
+    return run_body(spec, params, seed, dg, bounds, fleet, recorder);
+  });
 }
 
 }  // namespace ds::net

@@ -21,9 +21,10 @@
 /// the same agreement guarantee the materialized path gets from its
 /// topology digest.
 ///
-/// The round protocol is the unmodified `dist::run_rank_loop` core (so the
-/// output is bit-identical to every other runtime by construction); only the
-/// result collection differs. Gathering every output row to rank 0 would
+/// The rounds run through `net::Fleet::run` — the unmodified
+/// `dist::run_rank_loop` core every TCP runtime shares (so the output is
+/// bit-identical to every other runtime by construction); only the result
+/// collection differs. Gathering every output row to rank 0 would
 /// reinstate the O(n) driver footprint, so the gather carries *no* output
 /// rows (observability blocks only) and three small kSetup collectives
 /// finish the run:

@@ -1,6 +1,5 @@
 #include "net/rendezvous.hpp"
 
-#include <chrono>
 #include <string>
 
 #include "net/frame.hpp"
@@ -9,15 +8,6 @@
 namespace ds::net {
 
 namespace {
-
-/// Absolute steady-clock µs — the clock the recorders time spans on, so
-/// the handshake offset estimate applies to trace timestamps directly.
-std::uint64_t steady_now_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
@@ -139,6 +129,17 @@ std::uint64_t topology_digest(const local::NetworkTopology& topo) {
     }
   }
   for (const std::uint64_t uid : topo.uids()) fnv_mix(h, uid);
+  return h;
+}
+
+std::uint64_t structure_digest(const graph::Graph& g, std::uint64_t salt) {
+  std::uint64_t h = kFnvOffset;
+  fnv_mix(h, g.num_nodes());
+  fnv_mix(h, salt);
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    fnv_mix(h, g.degree(v));
+    for (const graph::NodeId u : g.neighbors(v)) fnv_mix(h, u);
+  }
   return h;
 }
 

@@ -41,6 +41,14 @@ struct Handshake {
 /// assignment (which covers IdStrategy and seed) and the seed itself.
 std::uint64_t topology_digest(const local::NetworkTopology& topo);
 
+/// FNV-1a digest over the graph's structure alone — node count, `salt`,
+/// then every adjacency row (degree, neighbors in port order) — and nothing
+/// seed- or ID-dependent. It determines everything a `dist::Partition`
+/// reads (adjacency, port offsets, delivery slots), so `salt` = rank count
+/// keys a partition cache; the serve daemon's handshake uses it with `salt`
+/// = the bipartite left-node count.
+std::uint64_t structure_digest(const graph::Graph& g, std::uint64_t salt);
+
 /// FNV-1a digest over the partition: rank count and range boundaries.
 std::uint64_t partition_digest(const dist::Partition& part);
 

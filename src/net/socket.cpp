@@ -57,6 +57,13 @@ std::int64_t steady_now_ms() {
       .count();
 }
 
+std::uint64_t steady_now_us() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 Socket::~Socket() {
   if (fd_ >= 0) ::close(fd_);
 }

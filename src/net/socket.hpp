@@ -80,6 +80,11 @@ void set_io_timeouts(int fd, int timeout_ms);
 /// every timed loop in net/.
 std::int64_t steady_now_ms();
 
+/// Absolute steady-clock µs — the clock the recorders time spans on, so
+/// the handshake clock-offset estimate applies to trace timestamps
+/// directly; the serve daemon times requests on it too.
+std::uint64_t steady_now_us();
+
 /// Parses a hosts file: one `host port` pair per line, in rank order;
 /// blank lines and `#` comments ignored. Throws on malformed lines.
 std::vector<Endpoint> parse_hosts(std::istream& in);

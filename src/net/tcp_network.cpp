@@ -1,8 +1,9 @@
 #include "net/tcp_network.hpp"
 
-#include <exception>
+#include <utility>
 
 #include "dist/rank_loop.hpp"
+#include "net/rendezvous.hpp"
 #include "support/check.hpp"
 
 namespace ds::net {
@@ -22,53 +23,28 @@ std::size_t checked_ranks(const TcpNetworkConfig& config) {
 TcpNetwork::TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
                        std::uint64_t seed, TcpNetworkConfig config)
     : topology_(g, strategy, seed),
-      partition_(topology_, checked_ranks(config)),
-      transport_(config.rank, config.hosts, topology_, partition_,
-                 config.transport, std::move(config.listen)) {}
+      partition_(std::make_shared<const dist::Partition>(
+          topology_, checked_ranks(config))),
+      owned_fleet_(std::make_unique<Fleet>(
+          config.rank, config.hosts,
+          InstanceDigests{topology_digest(topology_),
+                          partition_digest(*partition_)},
+          config.transport, std::move(config.listen))),
+      fleet_(owned_fleet_.get()) {}
+
+TcpNetwork::TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
+                       std::uint64_t seed, Fleet& fleet,
+                       std::shared_ptr<const dist::Partition> partition)
+    : topology_(g, strategy, seed),
+      partition_(std::move(partition)),
+      fleet_(&fleet) {}
 
 std::size_t TcpNetwork::run(const local::ProgramFactory& factory,
                             std::size_t max_rounds, local::CostMeter* meter) {
-  std::size_t rounds = 0;
-  try {
-    // Observability agreement: one pre-round collective sums every rank's
-    // "recorder installed" bit. Ranks are launched independently, so only
-    // some may carry --trace/--metrics; when anyone observes, everyone
-    // must record — the observing rank's merged export needs one lane per
-    // rank, not a lone local lane. Every rank runs this exchange
-    // unconditionally to stay in lockstep.
-    const std::size_t observers =
-        transport_.sync_liveness(recorder() != nullptr ? 1 : 0);
-    if (observers != 0 && recorder() == nullptr) {
-      fleet_recorder_ = std::make_unique<obs::Recorder>();
-      set_recorder(fleet_recorder_.get());
-    }
-    transport_.set_recorder(recorder());
-    rounds = dist::run_rank_loop(topology_, partition_, transport_, factory,
-                                 max_rounds, epoch_, sink_, output_fn_,
-                                 programs_, recorder());
-  } catch (const std::exception& e) {
-    // Locally raised failures (max_rounds, a throwing program, a gather
-    // protocol error) must fail the whole fleet, not just this rank — the
-    // peers are blocked in an exchange that this rank will never join.
-    // Transport-raised failures already aborted; the call is idempotent.
-    transport_.abort(e.what());
-    throw;
-  }
-  // The re-broadcast output table is valid on every rank; assemble it
-  // whenever a serializer is installed.
-  if (output_fn_) {
-    dist::assemble_outputs(transport_, partition_, outputs_);
-  } else {
-    outputs_.clear();
-  }
-  // The kOutputs re-broadcast replicated every rank's gather payload, so
-  // each rank can merge the whole fleet's observability blocks locally.
-  if (recorder() != nullptr) {
-    dist::collect_fleet_obs(transport_, *recorder());
-    // Final live snapshot carries the merged fleet-wide totals (per-peer
-    // tcp counters of every rank, all lanes' phase histograms).
-    recorder()->publish_round(rounds);
-  }
+  const std::size_t rounds =
+      fleet_->run(dist::full_view(topology_), *partition_, factory,
+                  max_rounds, programs_, recorder(), sink_, output_fn_,
+                  &outputs_);
   if (meter != nullptr) meter->add_executed(rounds);
   return rounds;
 }

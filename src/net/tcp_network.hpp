@@ -2,16 +2,20 @@
 
 /// \file tcp_network.hpp
 /// `net::TcpNetwork` — the multi-host LOCAL-model executor: one OS process
-/// per rank (typically on different machines), connected by a
-/// `net::TcpTransport`, each running the shared `dist::run_rank_loop`
-/// protocol over its degree-balanced partition range.
+/// per rank (typically on different machines), connected by a `net::Fleet`,
+/// each running the shared `dist::run_rank_loop` protocol over its
+/// degree-balanced partition range.
 ///
-/// Every rank constructs the same `TcpNetwork` over the same (graph,
-/// IdStrategy, seed) with its own `rank` — the rendezvous handshake rejects
-/// launches where the ranks disagree (see net/rendezvous.hpp). Unlike the
-/// fork-based `dist::DistributedNetwork`, the rank count is fixed by the
-/// launch (a live process cannot be clamped away), so `hosts.size()` ranks
-/// always participate; ranks beyond the node count simply own empty ranges.
+/// The only TCP executor. A one-shot executor owns a `net::Fleet` used
+/// once: every rank constructs the same `TcpNetwork` over the same (graph,
+/// IdStrategy, seed) with its own `rank`, and the rendezvous handshake
+/// rejects launches where the ranks disagree (see net/rendezvous.hpp).
+/// Unlike the fork-based `dist::DistributedNetwork`, the rank count is fixed
+/// by the launch (a live process cannot be clamped away), so `hosts.size()`
+/// ranks always participate; ranks beyond the node count simply own empty
+/// ranges. A resident daemon instead builds one executor per request over
+/// its standing fleet and a cached partition (partitions depend on the
+/// graph structure and the rank count only).
 ///
 /// # Determinism contract
 ///
@@ -41,6 +45,7 @@
 #include "local/program.hpp"
 #include "local/round_stats.hpp"
 #include "local/topology.hpp"
+#include "net/fleet.hpp"
 #include "net/socket.hpp"
 #include "net/tcp_transport.hpp"
 
@@ -60,10 +65,19 @@ struct TcpNetworkConfig {
 /// Multi-host synchronous executor on a fixed communication graph.
 class TcpNetwork final : public local::Executor {
  public:
-  /// Builds the executor and connects the fleet (blocks until every rank's
-  /// handshake went through or the rendezvous times out).
+  /// One-shot: builds the executor and connects its own fleet (blocks until
+  /// every rank's handshake went through or the rendezvous times out).
   TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
              std::uint64_t seed, TcpNetworkConfig config);
+
+  /// Standing: runs on the borrowed `fleet` over `partition`, which must be
+  /// a partition of `g`'s structure into `fleet.num_ranks()` ranges. The
+  /// fleet must outlive the executor, and every rank must build its
+  /// executor for the same (graph, strategy, seed) — the lockstep contract
+  /// of net/fleet.hpp.
+  TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
+             std::uint64_t seed, Fleet& fleet,
+             std::shared_ptr<const dist::Partition> partition);
 
   std::size_t run(const local::ProgramFactory& factory,
                   std::size_t max_rounds,
@@ -82,32 +96,24 @@ class TcpNetwork final : public local::Executor {
     sink_ = std::move(sink);
   }
 
-  [[nodiscard]] std::size_t rank() const { return transport_.rank(); }
-  [[nodiscard]] std::size_t num_ranks() const {
-    return transport_.num_ranks();
-  }
+  [[nodiscard]] std::size_t rank() const { return fleet_->rank(); }
+  [[nodiscard]] std::size_t num_ranks() const { return fleet_->num_ranks(); }
 
   /// The node partition (ranges, halo routing tables, edge-cut stats).
   [[nodiscard]] const dist::Partition& partition() const {
-    return partition_;
+    return *partition_;
   }
 
  private:
   local::NetworkTopology topology_;
-  dist::Partition partition_;
-  TcpTransport transport_;
+  std::shared_ptr<const dist::Partition> partition_;
+  /// Set by the one-shot constructor; `fleet_` points at it or at the
+  /// borrowed standing fleet.
+  std::unique_ptr<Fleet> owned_fleet_;
+  Fleet* fleet_ = nullptr;
   /// This rank's resident programs (size n; null outside the own range).
   std::vector<std::unique_ptr<local::NodeProgram>> programs_;
-  /// Monotone round tag; never reset across runs.
-  std::uint64_t epoch_ = 0;
   local::RoundStatsSink sink_;
-  /// Fleet-installed recorder: when the pre-round observability collective
-  /// reports that *some* rank wants observability but this rank was
-  /// launched without the flags, this rank still has to record (the
-  /// observing rank's merged trace needs one lane per rank, not a lone
-  /// local lane). Owned here so the transport's counter handles stay valid
-  /// for the executor's lifetime.
-  std::unique_ptr<obs::Recorder> fleet_recorder_;
 };
 
 }  // namespace ds::net

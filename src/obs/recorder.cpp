@@ -117,48 +117,36 @@ Recorder::Recorder() {
   dropped_counter_ = metrics_.counter("obs.events.dropped");
 }
 
-void Recorder::push_event(const TraceEvent& e) {
-  if (events_.size() < event_cap_) {
-    events_.push_back(e);
-    return;
+void Recorder::append_event(const TraceEvent& e) {
+  events_.push_back(e);
+  if (events_.size() > event_cap_) {
+    events_.pop_front();  // evict the oldest retained span
+    ++dropped_;
+    dropped_counter_.add(1);
   }
-  events_[next_] = e;  // overwrite the oldest retained span
-  next_ = (next_ + 1) % event_cap_;
-  ++dropped_;
-  dropped_counter_.add(1);
+}
+
+void Recorder::push_event(const TraceEvent& e) {
+  append_event(e);
+  pending_events_ = std::min(pending_events_ + 1, events_.size());
 }
 
 std::vector<TraceEvent> Recorder::ordered_events() const {
-  std::vector<TraceEvent> out;
-  out.reserve(events_.size());
-  if (events_.size() < event_cap_) {
-    out = events_;  // never wrapped: storage order is insertion order
-  } else {
-    out.insert(out.end(), events_.begin() + static_cast<std::ptrdiff_t>(next_),
-               events_.end());
-    out.insert(out.end(), events_.begin(),
-               events_.begin() + static_cast<std::ptrdiff_t>(next_));
-  }
-  return out;
+  return {events_.begin(), events_.end()};
 }
 
 void Recorder::set_event_capacity(std::size_t cap) {
   DS_CHECK_MSG(cap > 0, "flight-recorder capacity must be positive");
+  // Shrinking evicts oldest-first, exactly as organic ring pressure would.
   if (events_.size() > cap) {
-    // Shrinking evicts oldest-first, exactly as organic ring pressure would.
-    std::vector<TraceEvent> kept = ordered_events();
-    const std::size_t evicted = kept.size() - cap;
-    kept.erase(kept.begin(), kept.begin() + static_cast<std::ptrdiff_t>(evicted));
-    events_ = std::move(kept);
+    const std::size_t evicted = events_.size() - cap;
+    events_.erase(events_.begin(),
+                  events_.begin() + static_cast<std::ptrdiff_t>(evicted));
+    pending_events_ = std::min(pending_events_, events_.size());
     dropped_ += evicted;
     dropped_counter_.add(evicted);
-  } else if (events_.size() == event_cap_) {
-    // The ring was exactly full (possibly wrapped); rebase so storage order
-    // is insertion order again before growing.
-    events_ = ordered_events();
   }
   event_cap_ = cap;
-  next_ = 0;
 }
 
 void Recorder::publish_round(std::uint64_t rounds) {
@@ -187,13 +175,43 @@ void Recorder::write_folded(std::ostream& out) const {
 
 std::vector<std::uint64_t> Recorder::drain_words() {
   absorb_profiler();
-  const std::vector<MetricSnapshot> snaps = metrics_.snapshot();
-  const std::vector<TraceEvent> ordered = ordered_events();
+  // Local recordings are the live state minus the merged baseline. A metric
+  // the baseline already holds drains only when it moved: counters and
+  // histograms their count/sum increase (min/max merge idempotently, so
+  // the live extremes travel as they are), gauges a newly set value.
+  std::map<std::string, MetricSnapshot> baseline;
+  for (MetricSnapshot& b : merged_.snapshot()) {
+    baseline.emplace(b.name, std::move(b));
+  }
+  std::vector<MetricSnapshot> snaps;
+  for (MetricSnapshot& s : metrics_.snapshot()) {
+    const auto it = baseline.find(s.name);
+    if (it != baseline.end()) {
+      const MetricSnapshot& b = it->second;
+      if (s.kind == Kind::kGauge) {
+        if (s.count == b.count && s.sum == b.sum) continue;
+      } else {
+        s.count -= b.count;
+        s.sum -= b.sum;
+        if (s.count == 0 && s.sum == 0) continue;
+      }
+    }
+    snaps.push_back(std::move(s));
+  }
+  std::map<std::string, std::uint64_t> folded;
+  for (const auto& [stack, count] : folded_) {
+    const auto it = merged_folded_.find(stack);
+    const std::uint64_t merged = it == merged_folded_.end() ? 0 : it->second;
+    if (count > merged) folded.emplace(stack, count - merged);
+  }
+  const auto first_pending = events_.end() -
+                             static_cast<std::ptrdiff_t>(pending_events_);
+
   std::vector<std::uint64_t> out;
   out.push_back(kObsMagic);
   out.push_back(snaps.size());
-  out.push_back(ordered.size());
-  out.push_back(folded_.size());
+  out.push_back(pending_events_);
+  out.push_back(folded.size());
   for (const MetricSnapshot& s : snaps) {
     pack_string(out, s.name);
     out.push_back(static_cast<std::uint64_t>(s.kind));
@@ -202,7 +220,8 @@ std::vector<std::uint64_t> Recorder::drain_words() {
     out.push_back(s.min);
     out.push_back(s.max);
   }
-  for (const TraceEvent& e : ordered) {
+  for (auto it = first_pending; it != events_.end(); ++it) {
+    const TraceEvent& e = *it;
     out.push_back(e.lane);
     out.push_back(static_cast<std::uint64_t>(e.phase));
     out.push_back(e.round);
@@ -211,18 +230,25 @@ std::vector<std::uint64_t> Recorder::drain_words() {
     out.push_back(e.cycles);
     out.push_back(e.instructions);
   }
-  for (const auto& [stack, count] : folded_) {
+  for (const auto& [stack, count] : folded) {
     pack_string(out, stack);
     out.push_back(count);
   }
+  // Back to the merged baseline: the drained block is the only copy of the
+  // local recordings until it is merged (handles and registrations stay
+  // valid).
   metrics_.reset();
-  events_.clear();
-  next_ = 0;
-  folded_.clear();
+  for (const auto& [name, b] : baseline) metrics_.merge(b);
+  events_.erase(first_pending, events_.end());
+  pending_events_ = 0;
+  folded_ = merged_folded_;
   return out;
 }
 
 void Recorder::merge_words(const std::uint64_t* words, std::size_t count) {
+  // Spans recorded since the last drain stay local from here on: merged
+  // spans are appended after them, and a drain only takes the newest ones.
+  pending_events_ = 0;
   std::size_t pos = 0;
   DS_CHECK_MSG(count >= 4 && words[pos] == kObsMagic,
                "obs block has a bad magic word");
@@ -243,6 +269,7 @@ void Recorder::merge_words(const std::uint64_t* words, std::size_t count) {
     s.max = words[pos + 4];
     pos += 5;
     metrics_.merge(s);
+    merged_.merge(s);
   }
   for (std::size_t i = 0; i < num_events; ++i) {
     DS_CHECK_MSG(pos + kEventWords <= count, "obs block truncated (event)");
@@ -257,12 +284,14 @@ void Recorder::merge_words(const std::uint64_t* words, std::size_t count) {
     e.cycles = words[pos + 5];
     e.instructions = words[pos + 6];
     pos += kEventWords;
-    push_event(e);  // merged events obey the flight-recorder bound too
+    append_event(e);  // merged events obey the flight-recorder bound too
   }
   for (std::size_t i = 0; i < num_folded; ++i) {
     const std::string stack = unpack_string(words, count, pos);
     DS_CHECK_MSG(pos < count, "obs block truncated (folded count)");
-    folded_[stack] += words[pos++];
+    folded_[stack] += words[pos];
+    merged_folded_[stack] += words[pos];
+    ++pos;
   }
   DS_CHECK_MSG(pos == count, "obs block has trailing words");
 }
@@ -532,7 +561,7 @@ RoundInstruments RoundInstruments::create(Metrics& m) {
   r.live_nodes = m.counter("rounds.live_nodes");
   r.messages = m.counter("rounds.messages");
   r.payload_words = m.counter("rounds.payload_words");
-  r.rounds_executed = m.gauge("rounds.executed");
+  r.rounds_executed = m.counter("rounds.executed");
   r.send_us = m.histogram("phase.send.us");
   r.ship_us = m.histogram("phase.ship.us");
   r.barrier_us = m.histogram("phase.barrier.us");

@@ -31,15 +31,20 @@
 /// serving process cannot grow without bound, and the Chrome-trace export
 /// notes the truncation in its metadata.
 ///
-/// Drain/merge: `drain_words()` serializes the aggregated metrics and the
-/// event buffer into 64-bit words and *zeroes* the local state (handles stay
-/// valid). Each rank appends its drained block to the gather payload; the
-/// assembling side calls `merge_words()` on every rank's block — including
-/// its own, which is why draining zeroes: local totals are reconstructed by
-/// the merge instead of being counted twice.
+/// Drain/merge: `drain_words()` serializes what this recorder recorded
+/// *since its last drain* into 64-bit words and removes it from the local
+/// state (handles stay valid); whatever arrived through `merge_words()` is
+/// never drained again. Each rank appends its drained block to the gather
+/// payload and then merges every rank's block — including its own, which
+/// is why draining removes: local totals are reconstructed by the merge
+/// instead of being counted twice. Because merged data stays put, a
+/// standing fleet's blocks are per-run deltas: they do not grow with the
+/// fleet's history, and every rank can merge every block on one-shot and
+/// standing fleets alike.
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -123,14 +128,12 @@ class Recorder {
     push_event({lane, phase, round, ts_us, dur_us, cycles, instructions});
   }
 
-  /// The raw ring storage. Insertion order is only chronological while the
-  /// ring has never wrapped (size < capacity) — use `ordered_events()` for
-  /// an oldest-first view.
-  [[nodiscard]] const std::vector<TraceEvent>& events() const {
+  /// The retained events in insertion order (oldest first).
+  [[nodiscard]] const std::deque<TraceEvent>& events() const {
     return events_;
   }
 
-  /// The retained events, oldest-first regardless of ring wraparound.
+  /// A copy of the retained events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> ordered_events() const;
 
   /// Resizes the flight-recorder ring (events beyond the new cap are
@@ -180,13 +183,16 @@ class Recorder {
   /// (flamegraph.pl / speedscope input).
   void write_folded(std::ostream& out) const;
 
-  /// Serializes the aggregated metrics + events into words and clears the
-  /// local state (cells zeroed, events dropped; handles and registrations
-  /// stay valid). See the file comment for why draining zeroes.
+  /// Serializes what was recorded locally since the last drain — metric
+  /// increments, newly set gauges, spans, absorbed profile samples — into
+  /// words and removes it from the local state, leaving the merged data
+  /// (handles and registrations stay valid). Spans recorded between a
+  /// drain and the next merge stay local. See the file comment.
   [[nodiscard]] std::vector<std::uint64_t> drain_words();
 
-  /// Merges a `drain_words()` block back in: metrics accumulate by name,
-  /// events append. Throws ds::CheckError on a malformed block.
+  /// Merges a `drain_words()` block in: metrics accumulate by name, events
+  /// append. Merged data is never drained again. Throws ds::CheckError on a
+  /// malformed block.
   void merge_words(const std::uint64_t* words, std::size_t count);
 
   /// Chrome trace-event JSON ({"traceEvents": [...], "metadata": {...}}),
@@ -213,14 +219,22 @@ class Recorder {
   static constexpr std::size_t kDefaultEventCapacity = 1 << 16;
 
  private:
+  /// Records a local span (drained by the next `drain_words`).
   void push_event(const TraceEvent& e);
+  /// Appends a span, evicting the oldest past capacity.
+  void append_event(const TraceEvent& e);
 
   Metrics metrics_;
-  /// Flight-recorder ring: append until `event_cap_`, then overwrite the
-  /// oldest slot (`next_`), counting each eviction.
-  std::vector<TraceEvent> events_;
+  /// The merged share of `metrics_`: every block merged so far. A drain
+  /// takes the difference and restores this baseline.
+  Metrics merged_;
+  /// Flight recorder, oldest first: at most `event_cap_` spans, counting
+  /// each eviction.
+  std::deque<TraceEvent> events_;
+  /// The newest `pending_events_` spans were recorded locally since the
+  /// last drain or merge.
+  std::size_t pending_events_ = 0;
   std::size_t event_cap_ = kDefaultEventCapacity;
-  std::size_t next_ = 0;       ///< oldest slot once the ring wrapped
   std::uint64_t dropped_ = 0;  ///< lifetime evictions (this recorder)
   Counter dropped_counter_;    ///< obs.events.dropped
   std::uint32_t lane_ = 0;
@@ -229,9 +243,11 @@ class Recorder {
   SnapshotPublisher* publisher_ = nullptr;  ///< not owned
   SampledProfiler* profiler_ = nullptr;     ///< not owned
   /// Merged folded stacks: absorbed from the local profiler on drain and
-  /// accumulated from every rank's block on merge. Drained blocks carry and
-  /// clear it, mirroring the metrics contract.
+  /// accumulated from every rank's block on merge. Drained blocks carry the
+  /// part not merged yet, mirroring the metrics contract.
   std::map<std::string, std::uint64_t> folded_;
+  /// The merged share of `folded_`.
+  std::map<std::string, std::uint64_t> merged_folded_;
 };
 
 /// The standard per-round instruments every executor records — bundled so
@@ -243,7 +259,7 @@ struct RoundInstruments {
   Counter live_nodes;     ///< rounds.live_nodes
   Counter messages;       ///< rounds.messages
   Counter payload_words;  ///< rounds.payload_words
-  Gauge rounds_executed;  ///< rounds.executed
+  Counter rounds_executed;  ///< rounds.executed (once per run, fleet-wide)
   Histogram send_us;      ///< phase.send.us
   Histogram ship_us;      ///< phase.ship.us
   Histogram barrier_us;   ///< phase.barrier.us

@@ -154,7 +154,6 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
   std::size_t alive = 0;
   for (const ShardCounters& c : counters_) alive += c.not_done;
   if (alive == 0) {
-    if (rec != nullptr) ins.rounds_executed.set(0);
     collect_outputs_from_programs();
     if (meter != nullptr) meter->add_executed(0);
     return 0;
@@ -258,7 +257,7 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
       // farewell round too).
       const std::size_t rounds = senders > 0 ? r + 1 : r;
       if (rec != nullptr) {
-        ins.rounds_executed.set(rounds);
+        ins.rounds_executed.add(rounds);
         rec->publish_round(rounds);  // final snapshot with rounds.executed
       }
       collect_outputs_from_programs();

@@ -3,14 +3,14 @@
 #include <poll.h>
 #include <sys/socket.h>
 
-#include <algorithm>
 #include <exception>
 #include <iostream>
 #include <utility>
 
 #include "graph/format.hpp"
 #include "net/frame.hpp"
-#include "serve/serve_network.hpp"
+#include "net/rendezvous.hpp"
+#include "net/tcp_network.hpp"
 #include "support/check.hpp"
 
 namespace ds::serve {
@@ -32,12 +32,12 @@ const graph::Graph& checked_instance(const DaemonConfig& config) {
 }
 
 net::InstanceDigests serve_digests(const DaemonConfig& config) {
+  // Both handshake slots carry the instance's structure digest, seed- and
+  // algorithm-independent: one standing fleet serves every (spec, seed)
+  // over its loaded instance, and partitions are derived per request, but
+  // every rank must have loaded the identical instance.
   const std::uint64_t d =
-      Daemon::instance_digest(checked_instance(config), config.nu);
-  // Both handshake slots carry the structure digest: a standing serve fleet
-  // has no fixed per-run partition to agree on — partitions are derived
-  // per request from the cached topology — but every rank must still have
-  // loaded the identical instance.
+      net::structure_digest(checked_instance(config), config.nu);
   return net::InstanceDigests{d, d};
 }
 
@@ -49,29 +49,11 @@ net::Socket bind_request_port(DaemonConfig& config) {
 
 }  // namespace
 
-std::uint64_t Daemon::instance_digest(const graph::Graph& g, std::size_t nu) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t w) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (w >> (8 * b)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(g.num_nodes());
-  mix(nu);
-  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
-    const auto node = static_cast<graph::NodeId>(v);
-    mix(g.degree(node));
-    for (const graph::NodeId u : g.neighbors(node)) mix(u);
-  }
-  return h;
-}
-
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
       request_listener_(bind_request_port(config_)),
-      transport_(config_.rank, config_.hosts, serve_digests(config_),
-                 config_.transport, std::move(config_.listen)),
+      fleet_(config_.rank, config_.hosts, serve_digests(config_),
+             config_.transport, std::move(config_.listen)),
       queue_(config_.queue_capacity) {
   DS_CHECK_MSG(config_.queue_capacity >= 1,
                "serve::Daemon: queue capacity must be >= 1");
@@ -94,6 +76,8 @@ Daemon::Daemon(DaemonConfig config)
 }
 
 Daemon::~Daemon() {
+  // A daemon torn down without a clean drain still answers its backlog.
+  draining_.store(true, std::memory_order_release);
   accept_stop_.store(true, std::memory_order_release);
   if (accept_thread_.joinable()) accept_thread_.join();
 }
@@ -126,7 +110,7 @@ int Daemon::run_rank0() {
       // health *now*, not on the next submission's round timeout.
       if (fleet_ok()) {
         std::string why;
-        if (!transport_.peers_alive(&why)) mark_fleet_broken(why);
+        if (!fleet_.transport().peers_alive(&why)) mark_fleet_broken(why);
       }
       continue;
     }
@@ -142,11 +126,15 @@ int Daemon::run_rank0() {
     config_.publisher->set_health(obs::Health::kDraining);
   }
   while (queue_.try_pop(pending)) serve_one(std::move(pending));
+  // The accept thread answers the backlog before it exits; closing the
+  // port right after means a later connect is refused at once instead of
+  // waiting in a backlog nobody reads.
   accept_stop_.store(true, std::memory_order_release);
   if (accept_thread_.joinable()) accept_thread_.join();
+  request_listener_.reset();
   if (fleet_ok()) {
     try {
-      transport_.dispatch(net::FrameType::kShutdown, {});
+      fleet_.transport().dispatch(net::FrameType::kShutdown, {});
     } catch (const std::exception& e) {
       // A follower died while we drained; we are exiting regardless.
       std::cerr << "serve: shutdown broadcast failed: " << e.what() << "\n";
@@ -168,7 +156,8 @@ int Daemon::run_follower() {
     if (latch_deadline_ms >= 0 && net::steady_now_ms() >= latch_deadline_ms) {
       return 0;
     }
-    const auto event = transport_.await_dispatch(payload, config_.idle_poll_ms);
+    const auto event =
+        fleet_.transport().await_dispatch(payload, config_.idle_poll_ms);
     if (event == net::TcpTransport::DispatchEvent::kTimeout) continue;
     if (event == net::TcpTransport::DispatchEvent::kShutdown) return 0;
     // A dispatch proves rank 0 is alive and still draining accepted work
@@ -185,15 +174,20 @@ int Daemon::run_follower() {
 }
 
 void Daemon::accept_loop() {
-  while (!accept_stop_.load(std::memory_order_acquire)) {
+  while (true) {
+    // Once stopped, poll without waiting: every connection already queued
+    // in the backlog is still accepted and answered (the draining flag is
+    // set by then), and the first empty poll ends the loop.
+    const bool stop = accept_stop_.load(std::memory_order_acquire);
     pollfd pfd{request_listener_.fd(), POLLIN, 0};
-    const int r = ::poll(&pfd, 1, config_.idle_poll_ms);
+    const int r = ::poll(&pfd, 1, stop ? 0 : config_.idle_poll_ms);
+    if (r == 0 && stop) return;
     if (r <= 0) continue;  // timeout, EINTR, or spurious
     const int fd = ::accept(request_listener_.fd(), nullptr, nullptr);
     if (fd < 0) continue;
     PendingRequest pending;
     pending.client = net::Socket(fd);
-    pending.accepted_ms = net::steady_now_ms();
+    pending.accepted_us = net::steady_now_us();
     net::set_nodelay(pending.client.fd());
     net::set_io_timeouts(pending.client.fd(), config_.client_timeout_ms);
     try {
@@ -245,8 +239,17 @@ algo::Result Daemon::execute_request(const algo::Spec& spec,
   ctx.recorder = config_.recorder;
   ctx.factory = [this](const graph::Graph& fg, local::IdStrategy strategy,
                        std::uint64_t seed) -> std::unique_ptr<local::Executor> {
-    auto exec = std::make_unique<ServeNetwork>(fg, strategy, seed, transport_,
-                                               cache_, epoch_);
+    // A partition reads only the structure, so any topology of `fg` builds
+    // it: a miss uses the cheapest one.
+    const std::size_t ranks = fleet_.num_ranks();
+    auto partition =
+        cache_.get_or_build(net::structure_digest(fg, ranks), [&] {
+          return dist::Partition(
+              local::NetworkTopology(fg, local::IdStrategy::kSequential, 0),
+              ranks);
+        });
+    auto exec = std::make_unique<net::TcpNetwork>(fg, strategy, seed, fleet_,
+                                                  std::move(partition));
     exec->set_recorder(config_.recorder);
     return exec;
   };
@@ -303,7 +306,8 @@ void Daemon::serve_one(PendingRequest pending) {
     }
     bool ok = false;
     try {
-      transport_.dispatch(net::FrameType::kDispatch, encode_request(req));
+      fleet_.transport().dispatch(net::FrameType::kDispatch,
+                                  encode_request(req));
       const algo::Result result = execute_request(*spec, req);
       resp.status = Status::kOk;
       resp.output_digest = result.output_digest();
@@ -330,9 +334,7 @@ void Daemon::serve_one(PendingRequest pending) {
     }
   }
 
-  const std::int64_t elapsed_ms =
-      std::max<std::int64_t>(0, net::steady_now_ms() - pending.accepted_ms);
-  resp.wall_us = static_cast<std::uint64_t>(elapsed_ms) * 1000;
+  resp.wall_us = net::steady_now_us() - pending.accepted_us;
   requests_total_.add(1);
   request_latency_us_.record(resp.wall_us);
   queue_depth_.set(queue_.depth());

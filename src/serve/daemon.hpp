@@ -21,9 +21,11 @@
 ///             through the identical code path (SPMD — the collectives stay
 ///             in lockstep), and exits cleanly on kShutdown.
 ///
-/// Per-topology-digest `dist::Partition`s are cached across requests
-/// (partition_cache.hpp); repeated (instance, ids, seed) topologies skip
-/// the partition build entirely.
+/// Every request runs as a `net::TcpNetwork` over the daemon's standing
+/// `net::Fleet`. Partitions depend only on the graph structure and the rank
+/// count, so they are cached under that key (partition_cache.hpp): every
+/// request over the same graph — any seed, any ID strategy — skips the
+/// partition build.
 ///
 /// Failure policy: any execution failure or dead peer marks the fleet
 /// unhealthy (`fleet_ok() == false`, publisher health kAborted). The daemon
@@ -33,7 +35,10 @@
 /// Shutdown: `request_shutdown()` (or the config's `stop_requested` poll,
 /// wired to the SIGINT/SIGTERM latch by the tool) drains the queued
 /// requests, flips health to kDraining (/healthz 503 — load balancers stop
-/// routing), broadcasts kShutdown to the followers and returns 0.
+/// routing), answers every connection still waiting in the listen backlog
+/// kRejected ("daemon is draining"), closes the request port (later
+/// connects are refused at once), broadcasts kShutdown to the followers
+/// and returns 0.
 
 #include <atomic>
 #include <cstdint>
@@ -47,6 +52,7 @@
 #include "graph/bipartite.hpp"
 #include "graph/graph.hpp"
 #include "net/socket.hpp"
+#include "net/fleet.hpp"
 #include "net/tcp_transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/publish.hpp"
@@ -140,14 +146,11 @@ class Daemon {
   /// serving.
   [[nodiscard]] Stats stats() const;
 
-  /// The digest both rendezvous slots carry: FNV-1a over the instance
-  /// structure (n, nu, adjacency). Seed- and algorithm-independent — one
-  /// standing fleet serves every (spec, seed) over its loaded instance.
-  static std::uint64_t instance_digest(const graph::Graph& g, std::size_t nu);
-
  private:
   int run_rank0();
   int run_follower();
+  /// Rank 0's accept thread. After `accept_stop_` it answers the
+  /// connections still in the listen backlog, then returns.
   void accept_loop();
   /// Validates, dispatches and executes one accepted submission (rank 0).
   void serve_one(PendingRequest pending);
@@ -162,12 +165,9 @@ class Daemon {
   graph::BipartiteGraph bipartite_;  ///< built from nu when nonzero
   net::Socket request_listener_;     ///< rank 0's client port
   std::uint16_t request_port_ = 0;
-  net::TcpTransport transport_;
+  net::Fleet fleet_;
   PartitionCache cache_;
   RequestQueue queue_;
-  /// Monotone round tag shared by every run on the standing transport
-  /// (epochs must never repeat across a transport's lifetime).
-  std::uint64_t epoch_ = 0;
 
   std::thread accept_thread_;
   std::atomic<bool> accept_stop_{false};

@@ -13,11 +13,10 @@ PartitionCache::PartitionCache(std::size_t capacity) : capacity_(capacity) {
 }
 
 std::shared_ptr<const dist::Partition> PartitionCache::get_or_build(
-    std::uint64_t topology_digest,
-    const std::function<dist::Partition()>& build) {
+    std::uint64_t key, const std::function<dist::Partition()>& build) {
   ++use_clock_;
   for (Entry& e : entries_) {
-    if (e.key == topology_digest) {
+    if (e.key == key) {
       e.last_use = use_clock_;
       ++hits_;
       return e.partition;
@@ -32,7 +31,7 @@ std::shared_ptr<const dist::Partition> PartitionCache::get_or_build(
                                 });
     entries_.erase(lru);
   }
-  entries_.push_back(Entry{topology_digest, part, use_clock_});
+  entries_.push_back(Entry{key, part, use_clock_});
   return part;
 }
 

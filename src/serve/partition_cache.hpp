@@ -1,14 +1,17 @@
 #pragma once
 
 /// \file partition_cache.hpp
-/// Bounded LRU cache of `dist::Partition`s keyed by topology digest, so a
-/// resident daemon never re-partitions for a repeated (instance, ids, seed)
-/// topology. The partition routing tables are the expensive part of
-/// standing up a run (they scale with the cut); the per-request
-/// `NetworkTopology` rebuild that remains is cheap by comparison.
+/// Bounded LRU cache of `dist::Partition`s, so a resident daemon never
+/// re-partitions a graph it already partitioned. A partition depends only on
+/// the graph structure and the rank count, and the daemon keys it on
+/// exactly that (`net::structure_digest(graph, ranks)`): every request over
+/// one graph hits, whatever its seed or ID strategy. The partition routing
+/// tables are the expensive part of standing up a run (they scale with the
+/// cut); the per-request `NetworkTopology` rebuild that remains is cheap by
+/// comparison.
 ///
 /// Entries are shared_ptrs: an executor holds its partition across a run
-/// even if a burst of distinct topologies evicts the entry meanwhile.
+/// even if a burst of distinct graphs evicts the entry meanwhile.
 /// Single-consumer by design — only the daemon's worker loop touches the
 /// cache, so there is no internal locking.
 
@@ -25,12 +28,11 @@ class PartitionCache {
  public:
   explicit PartitionCache(std::size_t capacity = 8);
 
-  /// Returns the cached partition for `topology_digest`, or builds one via
+  /// Returns the cached partition for `key`, or builds one via
   /// `build`, caches it (evicting the least recently used entry past
   /// capacity) and returns it.
   std::shared_ptr<const dist::Partition> get_or_build(
-      std::uint64_t topology_digest,
-      const std::function<dist::Partition()>& build);
+      std::uint64_t key, const std::function<dist::Partition()>& build);
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }

@@ -25,8 +25,8 @@ namespace ds::serve {
 struct PendingRequest {
   Request request;
   net::Socket client;
-  /// `steady_now_ms` at accept, so the response's wall time covers queueing.
-  std::int64_t accepted_ms = 0;
+  /// `steady_now_us` at accept, so the response's wall time covers queueing.
+  std::uint64_t accepted_us = 0;
 };
 
 class RequestQueue {

@@ -370,19 +370,24 @@ TEST(AllocationCounting, ParallelSendPathIsZeroAllocPerRound) {
   }
 }
 
-TEST(AllocationCounting, LegacyAdapterDoesAllocate) {
+TEST(AllocationCounting, AllocatingReceiveIsCounted) {
   // Sanity check that the counting hook actually observes the message path:
-  // the legacy vector API allocates per round, so a longer run must count
-  // strictly more.
-  class VectorGossip final : public local::NodeProgram {
+  // a program that copies every inbox into a fresh heap vector allocates
+  // per round, so a longer run must count strictly more.
+  class CopyingGossip final : public local::NodeProgram {
    public:
-    VectorGossip(const local::NodeEnv& env, std::size_t rounds)
+    CopyingGossip(const local::NodeEnv& env, std::size_t rounds)
         : degree_(env.degree), rounds_(rounds) {}
-    std::vector<local::Message> send_messages(std::size_t) override {
-      return std::vector<local::Message>(degree_, local::Message{1});
+    void send(std::size_t, local::Outbox& out) override {
+      for (std::size_t p = 0; p < degree_; ++p) out.write(p, {1});
     }
-    void receive_messages(std::size_t round,
-                          const std::vector<local::Message>&) override {
+    void receive(std::size_t round, const local::Inbox& inbox) override {
+      for (std::size_t p = 0; p < inbox.size(); ++p) {
+        const local::MessageView view = inbox[p];
+        copies_.push_back(
+            std::make_unique<std::vector<std::uint64_t>>(view.begin(),
+                                                         view.end()));
+      }
       done_ = round + 1 >= rounds_;
     }
     [[nodiscard]] bool done() const override { return done_; }
@@ -390,13 +395,14 @@ TEST(AllocationCounting, LegacyAdapterDoesAllocate) {
    private:
     std::size_t degree_;
     std::size_t rounds_;
+    std::vector<std::unique_ptr<std::vector<std::uint64_t>>> copies_;
     bool done_ = false;
   };
   const auto g = graph::gen::torus(8, 8);
   local::Network net(g, local::IdStrategy::kSequential, 9);
   auto factory = [](std::size_t rounds) {
     return [rounds](const local::NodeEnv& env) {
-      return std::make_unique<VectorGossip>(env, rounds);
+      return std::make_unique<CopyingGossip>(env, rounds);
     };
   };
   net.run(factory(16), 17);

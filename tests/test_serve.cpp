@@ -1,17 +1,24 @@
 // Tests for the serving subsystem (src/serve/): the request/response codec
 // (round-trip + garbage rejection), the bounded request queue's
-// never-blocking backpressure, the per-topology-digest partition cache,
-// and the resident daemon end to end on loopback fleets — sequential and
+// never-blocking backpressure, the structure-keyed partition cache, and
+// the resident daemon end to end on loopback fleets — sequential and
 // concurrent submissions bit-identical to one-shot execution over one
-// standing rendezvous, graceful-shutdown drain, and a dead follower
-// flipping the fleet unhealthy instead of hanging clients.
+// standing rendezvous, graceful-shutdown drain (backlog included),
+// microsecond latency, per-run obs deltas, and a dead follower flipping
+// the fleet unhealthy instead of hanging clients.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,8 +28,11 @@
 #include "graph/generators.hpp"
 #include "local/ids.hpp"
 #include "local/topology.hpp"
+#include "net/frame.hpp"
 #include "net/loopback.hpp"
 #include "net/rendezvous.hpp"
+#include "obs/publish.hpp"
+#include "obs/recorder.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/partition_cache.hpp"
@@ -155,44 +165,55 @@ TEST(RequestQueue, BackpressureRefusesWithoutBlocking) {
 
 // ---- Partition cache -----------------------------------------------------
 
-TEST(PartitionCache, HitsAndMissesByTopologyDigest) {
+TEST(PartitionCache, HitsAcrossSeedsAndIdStrategiesOfOneGraph) {
   Rng rng(3);
   const graph::Graph g = graph::gen::gnp(30, 0.2, rng);
-  const local::NetworkTopology seed1(g, local::IdStrategy::kSequential, 1);
-  const local::NetworkTopology seed2(g, local::IdStrategy::kRandomPermutation,
-                                     2);
-  const std::uint64_t d1 = net::topology_digest(seed1);
-  const std::uint64_t d2 = net::topology_digest(seed2);
-  ASSERT_NE(d1, d2);
+  const graph::Graph other = graph::gen::gnp(30, 0.2, rng);
+  // Two seeds and a random ID assignment of one graph: a partition reads
+  // only the structure, so all three build the identical partition...
+  const local::NetworkTopology seq1(g, local::IdStrategy::kSequential, 1);
+  const local::NetworkTopology seq2(g, local::IdStrategy::kSequential, 2);
+  const local::NetworkTopology random3(
+      g, local::IdStrategy::kRandomPermutation, 3);
+  const dist::Partition reference(seq1, 2);
+  for (const local::NetworkTopology* topo : {&seq2, &random3}) {
+    const dist::Partition p(*topo, 2);
+    EXPECT_EQ(p.boundaries(), reference.boundaries());
+    for (std::size_t w = 0; w < 2; ++w) {
+      EXPECT_EQ(p.local_delivery(w), reference.local_delivery(w));
+    }
+  }
 
+  // ...and the daemon's key (structure digest salted with the rank count)
+  // makes every one of them a hit after the first build.
   PartitionCache cache(8);
   std::size_t builds = 0;
-  const auto build1 = [&] {
-    ++builds;
-    return dist::Partition(seed1, 2);
+  const auto get = [&](const local::NetworkTopology& topo,
+                       const graph::Graph& graph, std::size_t ranks) {
+    return cache.get_or_build(net::structure_digest(graph, ranks), [&] {
+      ++builds;
+      return dist::Partition(topo, ranks);
+    });
   };
-  const auto build2 = [&] {
-    ++builds;
-    return dist::Partition(seed2, 2);
-  };
-
-  const auto p1 = cache.get_or_build(d1, build1);
+  const auto p1 = get(seq1, g, 2);
+  const auto p2 = get(seq2, g, 2);
+  const auto p3 = get(random3, g, 2);
   EXPECT_EQ(builds, 1u);
   EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(p1.get(), p2.get());
+  EXPECT_EQ(p1.get(), p3.get());
 
-  // A repeated digest returns the identical object without rebuilding.
-  const auto p1b = cache.get_or_build(d1, build1);
-  EXPECT_EQ(builds, 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(p1.get(), p1b.get());
-
-  // A new digest is a miss.
-  const auto p2 = cache.get_or_build(d2, build2);
-  EXPECT_EQ(builds, 2u);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_NE(p1.get(), p2.get());
-  EXPECT_EQ(cache.size(), 2u);
+  // Another rank count or another graph is a miss.
+  const auto p4 = get(seq1, g, 3);
+  const local::NetworkTopology other_topo(other, local::IdStrategy::kSequential,
+                                          1);
+  const auto p5 = get(other_topo, other, 2);
+  EXPECT_EQ(builds, 3u);
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_NE(p1.get(), p4.get());
+  EXPECT_NE(p1.get(), p5.get());
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(PartitionCache, EvictsLeastRecentlyUsedPastCapacity) {
@@ -254,9 +275,9 @@ DaemonConfig daemon_config(net::LoopbackRank&& lr, const graph::Graph& g) {
 TEST(ServeDaemon, ServesSequentialAndConcurrentSubmissionsBitIdentically) {
   Rng rng(11);
   const graph::Graph g = graph::gen::gnp(40, 0.15, rng);
-  // mis@7 and color@7 share a topology digest (it covers structure, id
-  // strategy and seed — not the algorithm), mis@9 does not: 6 requests
-  // must come to exactly 2 partition builds.
+  // mis@7, color@7 and mis@9 run on one graph, and partitions are cached
+  // by structure and rank count: 6 requests come to exactly 1 partition
+  // build.
   const std::uint64_t mis7 = one_shot_digest(g, "mis", 7);
   const std::uint64_t color7 = one_shot_digest(g, "color", 7);
   const std::uint64_t mis9 = one_shot_digest(g, "mis", 9);
@@ -296,8 +317,14 @@ TEST(ServeDaemon, ServesSequentialAndConcurrentSubmissionsBitIdentically) {
               {"mis", 7}, {"color", 7}, {"mis", 9}};
           for (std::size_t i = 0; i < jobs.size(); ++i) {
             clients.emplace_back([&, i] {
-              concurrent[i] = submit(
-                  client, make_request(4 + i, jobs[i].first, jobs[i].second));
+              // A client error leaves the default response (id 0), which
+              // fails its check below instead of ending the process.
+              try {
+                concurrent[i] = submit(
+                    client,
+                    make_request(4 + i, jobs[i].first, jobs[i].second));
+              } catch (const std::exception&) {
+              }
             });
           }
           for (std::thread& t : clients) t.join();
@@ -320,8 +347,8 @@ TEST(ServeDaemon, ServesSequentialAndConcurrentSubmissionsBitIdentically) {
         const Daemon::Stats stats = daemon.stats();
         if (stats.served != 6) return 19;
         if (stats.failed != 1) return 20;
-        if (stats.cache_misses != 2) return 21;
-        if (stats.cache_hits != 4) return 22;
+        if (stats.cache_misses != 1) return 21;
+        if (stats.cache_hits != 5) return 22;
         if (!daemon.fleet_ok()) return 23;
         return 0;
       });
@@ -333,13 +360,12 @@ TEST(ServeDaemon, ServesSequentialAndConcurrentSubmissionsBitIdentically) {
 
 TEST(ServeDaemon, MixedObservabilityFleetServesRepeatedRequestsSafely) {
   // Only rank 0 observes (the --http-port deployment shape). The pre-round
-  // observability agreement then makes the non-observing follower install a
-  // *per-request* fleet recorder and hand its counter handles to the
-  // standing transport; regression coverage for the use-after-free where
-  // those handles outlived the request and the next dispatch wrote through
-  // them (ServeNetwork::run must unhook the transport's recorder on every
-  // exit path). Three sequential requests make the follower's transport
-  // await dispatches twice after a per-request recorder died.
+  // observability agreement then makes the non-observing follower record
+  // into its fleet recorder, whose counter handles the standing transport
+  // keeps between requests; regression coverage for a use-after-free when
+  // that recorder lived only as long as one request. Three sequential
+  // requests make the follower's transport await dispatches twice after
+  // its first run.
   Rng rng(23);
   const graph::Graph g = graph::gen::gnp(32, 0.18, rng);
   const std::uint64_t mis7 = one_shot_digest(g, "mis", 7);
@@ -392,23 +418,56 @@ TEST(ServeDaemon, MixedObservabilityFleetServesRepeatedRequestsSafely) {
       << "]";
 }
 
-TEST(ServeDaemon, GracefulShutdownAnswersEveryClientAndExitsZero) {
-  Rng rng(5);
-  const graph::Graph g = graph::gen::gnp(30, 0.2, rng);
-  // A single-rank fleet (dispatch short-circuits) keeps the whole drain
-  // in-process and deterministic to assert on.
-  net::Socket listen = net::listen_on(net::Endpoint{"127.0.0.1", 0});
-  const net::Endpoint self = net::local_endpoint(listen.fd());
+/// One client's outcome: the daemon's answer, or what the client raised.
+struct Outcome {
+  Response response;
+  std::string error;  ///< non-empty when no answer arrived
+};
 
-  std::atomic<bool> stop{false};
+/// The client side of `submit` on an already connected socket, so a test
+/// can order connects against the daemon's drain.
+Outcome exchange(const net::Socket& sock, const Request& req) {
+  Outcome outcome;
+  try {
+    const std::vector<std::uint64_t> payload = encode_request(req);
+    net::write_frame(sock.fd(), net::FrameType::kRequest, /*seq=*/0,
+                     payload.data(), payload.size(), "test request");
+    const net::Frame frame = net::read_frame(sock.fd(), "test response");
+    outcome.response =
+        decode_response(frame.payload.data(), frame.payload.size());
+  } catch (const std::exception& e) {
+    outcome.error = e.what();
+  }
+  return outcome;
+}
+
+net::Socket connect_client(std::uint16_t port, int timeout_ms) {
+  net::Socket sock = net::connect_to(net::Endpoint{"127.0.0.1", port},
+                                     timeout_ms);
+  net::set_io_timeouts(sock.fd(), timeout_ms);
+  return sock;
+}
+
+/// A single-rank daemon (dispatch short-circuits, so the whole drain stays
+/// in-process) stopped through `stop`.
+DaemonConfig single_rank_config(const graph::Graph& g,
+                                const std::atomic<bool>& stop) {
+  net::Socket listen = net::listen_on(net::Endpoint{"127.0.0.1", 0});
   DaemonConfig config;
   config.rank = 0;
-  config.hosts = {self};
+  config.hosts = {net::local_endpoint(listen.fd())};
   config.listen = std::move(listen);
   config.graph = &g;
   config.idle_poll_ms = 20;
-  config.stop_requested = [&] { return stop.load(); };
-  Daemon daemon(std::move(config));
+  config.stop_requested = [&stop] { return stop.load(); };
+  return config;
+}
+
+TEST(ServeDaemon, GracefulShutdownAnswersEveryClientAndExitsZero) {
+  Rng rng(5);
+  const graph::Graph g = graph::gen::gnp(30, 0.2, rng);
+  std::atomic<bool> stop{false};
+  Daemon daemon(single_rank_config(g, stop));
 
   int run_code = -1;
   std::thread runner([&] { run_code = daemon.run(); });
@@ -421,14 +480,30 @@ TEST(ServeDaemon, GracefulShutdownAnswersEveryClientAndExitsZero) {
   ASSERT_EQ(first.status, Status::kOk);
   EXPECT_EQ(first.output_digest, one_shot_digest(g, "mis", 3));
 
-  // ...then a burst racing the shutdown latch: every client must still get
-  // a terminal answer — kOk if its request was accepted before the drain,
-  // kRejected("daemon is draining") after — and the daemon must exit 0.
-  std::vector<Response> burst(4);
+  // ...then a burst racing the shutdown latch. Every burst client is
+  // connected before the latch flips (a connect after the drain is refused
+  // by design), and each then races its request against the drain: it
+  // must still get a terminal answer — kOk if its request was accepted
+  // before the drain, kRejected("daemon is draining") after — and the
+  // daemon must exit 0. Failures are collected per client, never thrown
+  // out of a thread.
+  std::vector<Outcome> burst(4);
+  std::atomic<std::size_t> connected{0};
   std::vector<std::thread> clients;
   for (std::size_t i = 0; i < burst.size(); ++i) {
-    clients.emplace_back(
-        [&, i] { burst[i] = submit(client, make_request(10 + i, "mis", 3)); });
+    clients.emplace_back([&, i] {
+      try {
+        const net::Socket sock = connect_client(client.port, 60000);
+        connected.fetch_add(1);
+        burst[i] = exchange(sock, make_request(10 + i, "mis", 3));
+      } catch (const std::exception& e) {
+        connected.fetch_add(1);
+        burst[i].error = e.what();
+      }
+    });
+  }
+  while (connected.load() < burst.size()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   stop.store(true);
   for (std::thread& t : clients) t.join();
@@ -436,7 +511,12 @@ TEST(ServeDaemon, GracefulShutdownAnswersEveryClientAndExitsZero) {
   EXPECT_EQ(run_code, 0);
 
   std::uint64_t ok = 0;
-  for (const Response& resp : burst) {
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    const Outcome& outcome = burst[i];
+    ASSERT_TRUE(outcome.error.empty())
+        << "client " << i << " got no answer: " << outcome.error;
+    const Response& resp = outcome.response;
+    EXPECT_EQ(resp.id, 10 + i);
     if (resp.status == Status::kOk) {
       ++ok;
       EXPECT_EQ(resp.output_digest, one_shot_digest(g, "mis", 3));
@@ -451,6 +531,175 @@ TEST(ServeDaemon, GracefulShutdownAnswersEveryClientAndExitsZero) {
   ClientConfig late = client;
   late.timeout_ms = 2000;
   EXPECT_THROW(submit(late, make_request(99, "mis", 3)), std::exception);
+}
+
+TEST(ServeDaemon, DrainAnswersTheBacklogAndClosesThePort) {
+  // Deterministic reproducer of the drain race: the accept thread is busy
+  // with a client that stalls mid-frame while a second client connects
+  // behind it and the drain starts. The second client sits in the listen
+  // backlog when the accept thread is told to stop; it must still be
+  // answered, and the port must refuse connects as soon as run() returns.
+  Rng rng(8);
+  const graph::Graph g = graph::gen::gnp(30, 0.2, rng);
+  std::atomic<bool> stop{false};
+  DaemonConfig config = single_rank_config(g, stop);
+  config.client_timeout_ms = 300;  // bounds the stalled client
+  Daemon daemon(std::move(config));
+  const std::uint16_t port = daemon.request_port();
+
+  int run_code = -1;
+  std::thread runner([&] { run_code = daemon.run(); });
+
+  // The stalled client: half a frame header, then silence.
+  const net::Socket stalled = connect_client(port, 10000);
+  const char partial[4] = {1, 2, 3, 4};
+  ASSERT_EQ(::send(stalled.fd(), partial, sizeof(partial), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(partial)));
+  // Give the accept thread time to pick the stalled client up (it then
+  // blocks reading it); the next connect queues behind it either way.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // The client connecting at the drain instant.
+  const net::Socket late = connect_client(port, 10000);
+  stop.store(true);
+  const Outcome answer = exchange(late, make_request(7, "mis", 3));
+  runner.join();
+  EXPECT_EQ(run_code, 0);
+
+  ASSERT_TRUE(answer.error.empty()) << answer.error;
+  EXPECT_EQ(answer.response.id, 7u);
+  EXPECT_EQ(answer.response.status, Status::kRejected);
+  EXPECT_NE(answer.response.brief.find("draining"), std::string::npos)
+      << answer.response.brief;
+
+  // The stalled client got a terminal answer too: kError once its read
+  // budget ran out.
+  const net::Frame frame = net::read_frame(stalled.fd(), "stalled response");
+  const Response stalled_resp =
+      decode_response(frame.payload.data(), frame.payload.size());
+  EXPECT_EQ(stalled_resp.status, Status::kError);
+
+  // run() closed the request port: a connect is refused at once, while the
+  // Daemon object still exists.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int rc =
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  const int err = errno;
+  ::close(fd);
+  EXPECT_EQ(rc, -1);
+  EXPECT_EQ(err, ECONNREFUSED);
+}
+
+TEST(ServeDaemon, LatencyHasMicrosecondResolution) {
+  Rng rng(9);
+  const graph::Graph g = graph::gen::gnp(30, 0.2, rng);
+  std::atomic<bool> stop{false};
+  Daemon daemon(single_rank_config(g, stop));
+  int run_code = -1;
+  std::thread runner([&] { run_code = daemon.run(); });
+  ClientConfig client;
+  client.port = daemon.request_port();
+  client.timeout_ms = 60000;
+  // Sub-millisecond requests: whole-millisecond timing would report only
+  // multiples of 1000 µs.
+  std::size_t fine = 0;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    const Response resp = submit(client, make_request(i + 1, "mis", 3));
+    ASSERT_EQ(resp.status, Status::kOk);
+    if (resp.wall_us % 1000 != 0) ++fine;
+  }
+  stop.store(true);
+  runner.join();
+  EXPECT_EQ(run_code, 0);
+  EXPECT_GT(fine, 0u);
+}
+
+TEST(ServeDaemon, ObsBlocksArePerRunDeltasOnAStandingFleet) {
+  // Recorders on both ranks of a standing fleet. A drained obs block
+  // carries only what its rank recorded since its last drain, so the
+  // gathered blocks of identical requests do not grow with the fleet's
+  // history (measured as the fleet's tcp bytes per request in rank 0's
+  // merged counters), and merged totals are exact: rank 0's
+  // rounds.executed is the sum over the served requests.
+  Rng rng(31);
+  const graph::Graph g = graph::gen::gnp(32, 0.18, rng);
+  constexpr std::uint64_t kRequests = 50;
+
+  const net::LoopbackReport report = net::run_loopback_ranks(
+      2, [&](net::LoopbackRank&& lr) -> int {
+        const std::size_t rank = lr.rank;
+        obs::Recorder recorder;
+        obs::SnapshotPublisher publisher;
+        DaemonConfig config = daemon_config(std::move(lr), g);
+        config.recorder = &recorder;
+        if (rank == 0) {
+          recorder.set_publisher(&publisher);
+          config.publisher = &publisher;
+        }
+        Daemon daemon(std::move(config));
+        if (rank != 0) return daemon.run();
+
+        int run_code = -1;
+        std::thread runner([&] { run_code = daemon.run(); });
+        ClientConfig client;
+        client.port = daemon.request_port();
+        client.timeout_ms = 60000;
+
+        // The daemon republishes after each request, before answering it.
+        const auto tcp_bytes = [&] {
+          obs::PublishedSnapshot snap;
+          std::uint64_t total = 0;
+          if (!publisher.read(snap)) return total;
+          for (const obs::PublishedMetric& m : snap.metrics) {
+            if (m.name == "tcp.tx.bytes" || m.name == "tcp.rx.bytes") {
+              total += m.aggregate().sum;
+            }
+          }
+          return total;
+        };
+        std::vector<std::uint64_t> per_request;
+        std::uint64_t rounds = 0;
+        std::uint64_t last = 0;
+        int rc = 0;
+        for (std::uint64_t i = 1; i <= kRequests && rc == 0; ++i) {
+          const Response resp = submit(client, make_request(i, "mis", 7));
+          if (resp.status != Status::kOk) rc = 10;
+          rounds += resp.rounds;
+          const std::uint64_t now = tcp_bytes();
+          per_request.push_back(now - last);
+          last = now;
+        }
+        daemon.request_shutdown();
+        runner.join();
+        if (rc != 0) return rc;
+        if (run_code != 0) return 11;
+        if (per_request[1] == 0) return 12;  // nothing measured
+        if (per_request[kRequests - 1] > per_request[1]) {
+          std::cerr << "request " << kRequests << " moved "
+                    << per_request[kRequests - 1]
+                    << " tcp bytes, request 2 moved " << per_request[1]
+                    << "\n";
+          return 13;
+        }
+        for (const obs::MetricSnapshot& m : recorder.metrics().snapshot()) {
+          if (m.name == "rounds.executed") {
+            if (m.sum == rounds) return 0;
+            std::cerr << "rounds.executed " << m.sum << ", served rounds "
+                      << rounds << "\n";
+            return 14;
+          }
+        }
+        return 15;  // rounds.executed never registered
+      });
+  EXPECT_TRUE(report.all_ok())
+      << "rank0=" << report.rank0 << " peers=["
+      << (report.peer_exit_codes.empty() ? -1 : report.peer_exit_codes[0])
+      << "]";
 }
 
 TEST(ServeDaemon, DeadFollowerFlipsFleetUnhealthyInsteadOfHanging) {
