@@ -1,10 +1,8 @@
 #include "dist/rank_loop.hpp"
 
-#include <chrono>
 #include <memory>
 
 #include "local/message_arena.hpp"
-#include "obs/perf.hpp"
 #include "support/check.hpp"
 
 namespace ds::dist {
@@ -71,69 +69,45 @@ std::size_t run_rank_loop(
     return c;
   };
 
-  obs::RoundInstruments ins;
-  // Hardware counters ride the same sampling points as the wall-clock
-  // timestamps; registered eagerly because the registry seals at the first
-  // round's publish. Fallback (container, paranoid kernel) degrades to
-  // task-clock/ctx-switch counters and `unavailable` span deltas.
-  std::unique_ptr<obs::PerfCounters> perf;
-  obs::PhasePerf phase_perf;
-  if (recorder != nullptr) {
-    ins = obs::RoundInstruments::create(recorder->metrics());
-    recorder->set_lane(static_cast<std::uint32_t>(w));
-    perf = std::make_unique<obs::PerfCounters>();
-    phase_perf = obs::PhasePerf(
-        recorder->metrics(), *perf,
-        {obs::Phase::kSend, obs::Phase::kShip, obs::Phase::kPatch,
-         obs::Phase::kReceive, obs::Phase::kBarrier, obs::Phase::kRound});
-  }
-  const bool timed = recorder != nullptr || sink;
-  const auto us_now = [&] { return recorder != nullptr ? recorder->now_us()
-                                                       : std::uint64_t{0}; };
-  const auto perf_now = [&] {
-    return perf != nullptr ? perf->sample() : obs::PerfSample{};
-  };
+  if (recorder != nullptr) recorder->set_lane(static_cast<std::uint32_t>(w));
+  local::RoundClock clock(recorder, sink,
+                          {obs::Phase::kSend, obs::Phase::kShip,
+                           obs::Phase::kPatch, obs::Phase::kReceive,
+                           obs::Phase::kBarrier});
 
   std::size_t alive = transport.sync_liveness(count_alive());
   std::size_t rounds = 0;
   while (alive > 0) {
     DS_CHECK_MSG(rounds < max_rounds,
                  "distributed run exceeded max_rounds");
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t us0 = us_now();
-    const obs::PerfSample p0 = perf_now();
+    clock.begin();
     // Send phase: owned live nodes serialize into the private arena; the
     // local delivery table routes cut ports into the out-halo staging area.
     ++epoch;
     bank.clear();
-    Transport::RoundTotals mine;
+    local::RoundCounts own;
     for (graph::NodeId v = first; v < last; ++v) {
       local::NodeProgram& prog = prog_at(v);
       if (prog.done()) continue;
-      ++mine.senders;
+      ++own.live_nodes;
       local::Outbox out(&bank, 0, arena.data(),
                         local_delivery.data() + (port_offset(v) - port_base),
                         degree(v), epoch);
       prog.send(rounds, out);
-      mine.messages += out.messages();
-      mine.payload_words += out.payload_words();
+      own.messages += out.messages();
+      own.payload_words += out.payload_words();
     }
-    const auto t_sent = timed ? std::chrono::steady_clock::now() : t0;
-    const std::uint64_t us_sent = us_now();
-    const obs::PerfSample p_sent = perf_now();
-    transport.ship(arena.data(), bank.data(), epoch, mine);
-    const auto t_shipped = timed ? std::chrono::steady_clock::now() : t0;
-    const std::uint64_t us_shipped = us_now();
-    const obs::PerfSample p_shipped = perf_now();
+    clock.lap(obs::Phase::kSend);
+    transport.ship(arena.data(), bank.data(), epoch,
+                   {own.live_nodes, own.messages, own.payload_words});
+    clock.lap(obs::Phase::kShip);
 
     // Receive phase: patch the arena onto the shipped payloads, then run
     // the unmodified Inbox path over the owned live nodes.
     transport.patch(arena.data(), epoch);
     transport.update_bank_bases(bases, bank.data());
-    const auto t_patched = timed ? std::chrono::steady_clock::now() : t0;
-    const std::uint64_t us_patched = us_now();
-    const obs::PerfSample p_patched = perf_now();
-    local::RoundStats stats;
+    clock.lap(obs::Phase::kPatch);
+    local::RoundCounts fleet = own;
     if (sink) {
       // Totals are only stable between ship and the liveness sync (on the
       // shm transport a fast peer may overwrite its counter slot right
@@ -142,10 +116,7 @@ std::size_t run_rank_loop(
       DS_CHECK_MSG(totals.aggregated,
                    "stats sink installed on a rank whose transport does not "
                    "aggregate round totals — the sink would report zeros");
-      stats.round = rounds;
-      stats.live_nodes = static_cast<std::size_t>(totals.senders);
-      stats.messages = static_cast<std::size_t>(totals.messages);
-      stats.payload_words = static_cast<std::size_t>(totals.payload_words);
+      fleet = {totals.senders, totals.messages, totals.payload_words};
     }
     for (graph::NodeId v = first; v < last; ++v) {
       local::NodeProgram& prog = prog_at(v);
@@ -154,85 +125,22 @@ std::size_t run_rank_loop(
                          degree(v), bases.data(), epoch);
       prog.receive(rounds, inbox);
     }
-    const auto t_received = timed ? std::chrono::steady_clock::now() : t0;
-    const std::uint64_t us_received = us_now();
-    const obs::PerfSample p_received = perf_now();
+    clock.lap(obs::Phase::kReceive);
     alive = transport.sync_liveness(count_alive());
+    clock.lap(obs::Phase::kBarrier);
+    clock.end_round(own, fleet);
     ++rounds;
-    const auto t_end = std::chrono::steady_clock::now();
-    if (recorder != nullptr) {
-      // Deterministic counters take only this rank's share (`mine`): the
-      // post-gather merge of every rank's block then reconstructs the same
-      // fleet totals the sequential executor counts.
-      ins.live_nodes.add(mine.senders);
-      ins.messages.add(mine.messages);
-      ins.payload_words.add(mine.payload_words);
-      const std::uint64_t us_end = us_now();
-      const obs::PerfSample p_end = perf_now();
-      ins.send_us.record(us_sent - us0);
-      ins.ship_us.record(us_shipped - us_sent);
-      ins.patch_us.record(us_patched - us_shipped);
-      ins.receive_us.record(us_received - us_patched);
-      ins.barrier_us.record(us_end - us_received);
-      ins.round_us.record(us_end - us0);
-      const obs::SpanPerf d_send =
-          phase_perf.account(obs::Phase::kSend, p0, p_sent);
-      const obs::SpanPerf d_ship =
-          phase_perf.account(obs::Phase::kShip, p_sent, p_shipped);
-      const obs::SpanPerf d_patch =
-          phase_perf.account(obs::Phase::kPatch, p_shipped, p_patched);
-      const obs::SpanPerf d_receive =
-          phase_perf.account(obs::Phase::kReceive, p_patched, p_received);
-      const obs::SpanPerf d_barrier =
-          phase_perf.account(obs::Phase::kBarrier, p_received, p_end);
-      const obs::SpanPerf d_round =
-          phase_perf.account(obs::Phase::kRound, p0, p_end);
-      const std::uint64_t r = rounds - 1;
-      recorder->add_span(obs::Phase::kSend, r, us0, us_sent - us0,
-                         d_send.cycles, d_send.instructions);
-      recorder->add_span(obs::Phase::kShip, r, us_sent, us_shipped - us_sent,
-                         d_ship.cycles, d_ship.instructions);
-      recorder->add_span(obs::Phase::kPatch, r, us_shipped,
-                         us_patched - us_shipped, d_patch.cycles,
-                         d_patch.instructions);
-      recorder->add_span(obs::Phase::kReceive, r, us_patched,
-                         us_received - us_patched, d_receive.cycles,
-                         d_receive.instructions);
-      recorder->add_span(obs::Phase::kBarrier, r, us_received,
-                         us_end - us_received, d_barrier.cycles,
-                         d_barrier.instructions);
-      recorder->add_span(obs::Phase::kRound, r, us0, us_end - us0,
-                         d_round.cycles, d_round.instructions);
-      // Round-boundary snapshot for the live HTTP endpoints: one coalesced
-      // seqlock publish per round, no locks on the round path.
-      recorder->publish_round(rounds);
-    }
-    if (sink) {
-      stats.wall_seconds =
-          std::chrono::duration<double>(t_end - t0).count();
-      stats.send_seconds =
-          std::chrono::duration<double>(t_sent - t0).count();
-      stats.ship_seconds =
-          std::chrono::duration<double>(t_shipped - t_sent).count();
-      stats.patch_seconds =
-          std::chrono::duration<double>(t_patched - t_shipped).count();
-      stats.receive_seconds =
-          std::chrono::duration<double>(t_received - t_patched).count();
-      stats.barrier_seconds =
-          std::chrono::duration<double>(t_end - t_received).count();
-      sink(stats);
-    }
   }
 
   // Output gather: this rank's drained observability block, then the owned
   // programs' serialized rows ([length, words...] per node) — see the file
   // comment in rank_loop.hpp for the layout.
   std::vector<std::uint64_t> gathered;
-  const std::uint64_t us_gather = us_now();
+  clock.begin_gather();
+  // Every rank executed every round: only rank 0 counts them, so the merged
+  // fleet total is the run's round count.
+  if (w == 0) clock.finish(rounds);
   if (recorder != nullptr) {
-    // Every rank executed every round: only rank 0 counts them, so the
-    // merged fleet total is the run's round count.
-    if (w == 0) ins.rounds_executed.add(rounds);
     const std::vector<std::uint64_t> obs_block = recorder->drain_words();
     gathered.push_back(obs_block.size());
     gathered.insert(gathered.end(), obs_block.begin(), obs_block.end());
@@ -249,12 +157,9 @@ std::size_t run_rank_loop(
     }
   }
   transport.gather(gathered);
-  if (recorder != nullptr) {
-    // The gather span lands *after* the drain, so it stays in the local
-    // recorder and is reported by the rank that merges the fleet's blocks.
-    recorder->add_span(obs::Phase::kGather, rounds, us_gather,
-                       us_now() - us_gather);
-  }
+  // The gather span lands *after* the drain, so it stays in the local
+  // recorder and is reported by the rank that merges the fleet's blocks.
+  clock.end_gather();
   return rounds;
 }
 

@@ -3,8 +3,9 @@
 /// \file executor.hpp
 /// Abstract interface over LOCAL-model executors, so algorithms that run
 /// genuine message-passing programs (Luby MIS, trial coloring, sinkless
-/// orientation, ...) can be pointed at either the sequential `Network` or
-/// the sharded `runtime::ParallelNetwork` at runtime.
+/// orientation, ...) can be pointed at any runtime: the sequential
+/// `Network`, the sharded `runtime::ParallelNetwork`, the forked
+/// `dist::DistributedNetwork` or the TCP `net::TcpNetwork`.
 ///
 /// Determinism contract: for a fixed (graph, IdStrategy, seed), every
 /// executor must produce bit-identical per-node program outputs and the same

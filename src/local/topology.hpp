@@ -3,8 +3,9 @@
 /// \file topology.hpp
 /// Immutable per-network setup shared by every LOCAL-model executor: UID
 /// assignment, CSR port offsets, reverse ports, and precomputed delivery
-/// slots. The sequential `Network` and the sharded `runtime::ParallelNetwork`
-/// both build on this, so ID assignment and per-node randomness derivation
+/// slots. Every executor builds on this — the sequential `Network`, the
+/// sharded `runtime::ParallelNetwork`, and the distributed runtimes through
+/// their rank views — so ID assignment and per-node randomness derivation
 /// are identical by construction — a prerequisite for the executors'
 /// bit-identical-output contract.
 

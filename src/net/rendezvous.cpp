@@ -4,20 +4,11 @@
 
 #include "net/frame.hpp"
 #include "support/check.hpp"
+#include "support/fnv.hpp"
 
 namespace ds::net {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t word) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (word >> shift) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
 
 std::string describe(const Handshake& h) {
   return "rank " + std::to_string(h.rank) + "/" + std::to_string(h.ranks) +
@@ -117,30 +108,30 @@ std::size_t accept_handshake(const Socket& s, const Handshake& mine) {
 
 std::uint64_t topology_digest(const local::NetworkTopology& topo) {
   const graph::Graph& g = topo.graph();
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, g.num_nodes());
-  fnv_mix(h, topo.total_ports());
-  fnv_mix(h, topo.seed());
+  Fnv1a h;
+  h.word(g.num_nodes());
+  h.word(topo.total_ports());
+  h.word(topo.seed());
   // Delivery slots encode the full port-level structure (adjacency and port
   // numbering); UIDs cover the IdStrategy/seed-derived identity.
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     for (std::size_t p = 0; p < g.degree(v); ++p) {
-      fnv_mix(h, topo.delivery_slot(v, p));
+      h.word(topo.delivery_slot(v, p));
     }
   }
-  for (const std::uint64_t uid : topo.uids()) fnv_mix(h, uid);
-  return h;
+  for (const std::uint64_t uid : topo.uids()) h.word(uid);
+  return h.value();
 }
 
 std::uint64_t structure_digest(const graph::Graph& g, std::uint64_t salt) {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, g.num_nodes());
-  fnv_mix(h, salt);
+  Fnv1a h;
+  h.word(g.num_nodes());
+  h.word(salt);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    fnv_mix(h, g.degree(v));
-    for (const graph::NodeId u : g.neighbors(v)) fnv_mix(h, u);
+    h.word(g.degree(v));
+    for (const graph::NodeId u : g.neighbors(v)) h.word(u);
   }
-  return h;
+  return h.value();
 }
 
 std::uint64_t partition_digest(const dist::Partition& part) {
@@ -149,18 +140,17 @@ std::uint64_t partition_digest(const dist::Partition& part) {
 
 std::uint64_t partition_digest(std::size_t ranks,
                                const std::vector<graph::NodeId>& bounds) {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, ranks);
-  for (const graph::NodeId b : bounds) fnv_mix(h, b);
-  return h;
+  Fnv1a h;
+  h.word(ranks);
+  for (const graph::NodeId b : bounds) h.word(b);
+  return h.value();
 }
 
 std::uint64_t instance_digest(const std::string& identity) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : identity) {
-    fnv_mix(h, static_cast<unsigned char>(c));
-  }
-  return h;
+  Fnv1a h;
+  // One word per character, as the handshake always folded it.
+  for (const char c : identity) h.word(static_cast<unsigned char>(c));
+  return h.value();
 }
 
 std::vector<Socket> rendezvous(const Handshake& mine,

@@ -54,31 +54,6 @@ std::map<std::string, PhasePerfTotals> collect_phase_perf(
   return phases;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string html_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -121,6 +96,74 @@ std::string gauge_value(const MetricSnapshot& s) {
 }
 
 }  // namespace
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+void write_metrics_json(
+    std::ostream& out,
+    const std::vector<std::pair<std::string, std::string>>& context,
+    const std::vector<MetricSnapshot>& metrics) {
+  out << "{\n  \"context\": {";
+  for (std::size_t i = 0; i < context.size(); ++i) {
+    if (i > 0) out << ",";
+    out << "\n    \"" << json_escape(context[i].first) << "\": \""
+        << json_escape(context[i].second) << "\"";
+  }
+  out << (context.empty() ? "}" : "\n  }");
+  const auto write_section = [&](const char* title, Kind kind) {
+    out << ",\n  \"" << title << "\": {";
+    bool first = true;
+    for (const MetricSnapshot& s : metrics) {
+      if (s.kind != kind) continue;
+      if (!first) out << ",";
+      first = false;
+      out << "\n    \"" << json_escape(s.name) << "\": ";
+      if (kind == Kind::kHistogram) {
+        char mean[32];
+        std::snprintf(mean, sizeof(mean), "%.3f",
+                      s.count == 0
+                          ? 0.0
+                          : static_cast<double>(s.sum) /
+                                static_cast<double>(s.count));
+        out << "{\"count\": " << s.count << ", \"sum\": " << s.sum
+            << ", \"min\": " << (s.count == 0 ? 0 : s.min)
+            << ", \"max\": " << s.max << ", \"mean\": " << mean << "}";
+      } else if (kind == Kind::kGauge) {
+        out << gauge_value(s);
+      } else {
+        out << s.value();
+      }
+    }
+    out << (first ? "}" : "\n  }");
+  };
+  write_section("counters", Kind::kCounter);
+  write_section("gauges", Kind::kGauge);
+  write_section("histograms", Kind::kHistogram);
+  out << "\n}\n";
+}
 
 std::string prometheus_name(const std::string& name) {
   std::string out = "distsplit_";
@@ -237,46 +280,14 @@ void write_snapshot_json(std::ostream& out, const SnapshotPublisher& pub) {
   context.emplace_back("health", health_name(pub.health()));
   context.emplace_back("rounds", std::to_string(have ? snap.rounds : 0));
   context.emplace_back("publishes", std::to_string(pub.publishes()));
-
-  out << "{\n  \"context\": {";
-  for (std::size_t i = 0; i < context.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "\n    \"" << json_escape(context[i].first) << "\": \""
-        << json_escape(context[i].second) << "\"";
-  }
-  out << "\n  }";
-  const auto write_section = [&](const char* title, Kind kind) {
-    out << ",\n  \"" << title << "\": {";
-    bool first = true;
-    if (have) {
-      for (const PublishedMetric& pm : snap.metrics) {
-        if (pm.kind != kind) continue;
-        const MetricSnapshot s = pm.aggregate();
-        if (!first) out << ",";
-        first = false;
-        out << "\n    \"" << json_escape(s.name) << "\": ";
-        if (kind == Kind::kHistogram) {
-          char mean[32];
-          std::snprintf(mean, sizeof(mean), "%.3f",
-                        s.count == 0 ? 0.0
-                                     : static_cast<double>(s.sum) /
-                                           static_cast<double>(s.count));
-          out << "{\"count\": " << s.count << ", \"sum\": " << s.sum
-              << ", \"min\": " << (s.count == 0 ? 0 : s.min)
-              << ", \"max\": " << s.max << ", \"mean\": " << mean << "}";
-        } else if (kind == Kind::kGauge) {
-          out << gauge_value(s);
-        } else {
-          out << s.value();
-        }
-      }
+  std::vector<MetricSnapshot> metrics;
+  if (have) {
+    metrics.reserve(snap.metrics.size());
+    for (const PublishedMetric& pm : snap.metrics) {
+      metrics.push_back(pm.aggregate());
     }
-    out << (first ? "}" : "\n  }");
-  };
-  write_section("counters", Kind::kCounter);
-  write_section("gauges", Kind::kGauge);
-  write_section("histograms", Kind::kHistogram);
-  out << "\n}\n";
+  }
+  write_metrics_json(out, context, metrics);
 }
 
 void write_runs_json(std::ostream& out, const SnapshotPublisher& pub) {

@@ -1,19 +1,37 @@
 #pragma once
 
 /// \file exposition.hpp
-/// Renderers over a `SnapshotPublisher` for the embedded HTTP server:
-/// Prometheus text exposition format 0.0.4 (`/metrics`), the PR 6 metrics
-/// JSON (`/api/v1/snapshot`), and a self-contained HTML status page
-/// (`/status`). All three read only published snapshots and the publisher's
-/// mutex-guarded metadata — never the live registry — so they are safe to
-/// call from the server thread while a round loop is publishing.
+/// Metric renderers. The metrics JSON renderer serves both the tools'
+/// `--metrics` files (over a recorder's registry) and the embedded HTTP
+/// server's `/api/v1/snapshot`. The rest render a `SnapshotPublisher` for
+/// the server: Prometheus text exposition format 0.0.4 (`/metrics`), a
+/// self-contained HTML status page (`/status`) and the run history. They
+/// read only published snapshots and the publisher's mutex-guarded
+/// metadata — never the live registry — so they are safe to call from the
+/// server thread while a round loop is publishing.
 
 #include <iosfwd>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace ds::obs {
 
 class SnapshotPublisher;
+
+/// Escapes `s` for use inside a JSON string literal.
+[[nodiscard]] std::string json_escape(const std::string& s);
+
+/// Metrics JSON: {"context": {...}, "counters": {...}, "gauges": {...},
+/// "histograms": {...}}. Counters and gauges are bare integers, so
+/// deterministic counters compare bit-identically across runtimes;
+/// histograms expose count/sum/min/max/mean.
+void write_metrics_json(
+    std::ostream& out,
+    const std::vector<std::pair<std::string, std::string>>& context,
+    const std::vector<MetricSnapshot>& metrics);
 
 /// Prometheus text exposition 0.0.4: one `# TYPE` line per family, names
 /// mangled `distsplit_<name with [^a-zA-Z0-9_] -> _>`, counters suffixed
@@ -25,9 +43,8 @@ class SnapshotPublisher;
 /// `distsplit_publishes_total` and `distsplit_health`.
 void write_prometheus(std::ostream& out, const SnapshotPublisher& pub);
 
-/// The metrics JSON `Recorder::write_metrics_json` emits — same shape
-/// ({"context", "counters", "gauges", "histograms"}), rendered from the
-/// published snapshot with the publisher's info as context.
+/// `write_metrics_json` over the published snapshot, with the publisher's
+/// info plus health, rounds and publish count as context.
 void write_snapshot_json(std::ostream& out, const SnapshotPublisher& pub);
 
 /// Self-contained HTML status page: health, run context, rounds, per-phase

@@ -179,7 +179,7 @@ PerfSample PerfCounters::sample() const {
 }
 
 PhasePerf::PhasePerf(Metrics& m, const PerfCounters& pc,
-                     std::initializer_list<Phase> phases)
+                     const std::vector<Phase>& phases)
     : hardware_(pc.hardware()) {
   // The marker gauge is always present (1 = hardware group live, 0 =
   // degraded) so consumers can distinguish "no hardware counters" from "no

@@ -4,8 +4,8 @@
 /// Hardware performance counters for phase spans: a grouped
 /// `perf_event_open(2)` wrapper (cycles, instructions, cache
 /// references/misses, branch misses, task-clock, context switches) that the
-/// round loops sample at the same points they take their wall-clock
-/// timestamps, so every send/ship/patch/receive/barrier span carries a
+/// round loops' `local::RoundClock` samples right after each of its
+/// boundary readings, so every send/ship/patch/receive/barrier span carries a
 /// cycle/instruction delta and the registry accumulates per-phase totals —
 /// the inputs for the derived IPC and cache-miss-rate families.
 ///
@@ -20,14 +20,13 @@
 /// sourced from `CLOCK_THREAD_CPUTIME_ID` and `getrusage(RUSAGE_THREAD)`.
 ///
 /// Counters are per-thread (`pid=0, cpu=-1`, user-space only): each round
-/// loop owns its `PerfCounters`, and `ParallelNetwork` shards sample a
+/// clock owns its `PerfCounters`, and `ParallelNetwork` shards sample a
 /// thread-local instance, so deltas attribute work to the thread that did it.
 /// The group read uses `PERF_FORMAT_TOTAL_TIME_ENABLED/RUNNING` and scales
 /// for multiplexing — seven events can exceed the PMU's slot count.
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -110,7 +109,7 @@ class PhasePerf {
   /// branch_misses}` (hardware only), `perf.<phase>.{task_clock_ns,
   /// ctx_switches}` (always), and the `perf.hardware` 0/1 marker gauge.
   PhasePerf(Metrics& m, const PerfCounters& pc,
-            std::initializer_list<Phase> phases);
+            const std::vector<Phase>& phases);
 
   /// Accounts the delta [from, to) to `phase`'s counters and returns the
   /// span's cycle/instruction delta for the trace args.

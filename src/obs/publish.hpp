@@ -95,7 +95,7 @@ class SnapshotPublisher {
   void publish(const Metrics& m, std::uint64_t rounds);
 
   /// Static context served by `/status` and `/api/v1/snapshot` — the same
-  /// key/value shape `Recorder::write_metrics_json` takes.
+  /// key/value shape `write_metrics_json` takes.
   void set_info(std::vector<std::pair<std::string, std::string>> info);
 
   void set_health(Health h) {

@@ -8,6 +8,7 @@
 #include <ostream>
 #include <set>
 
+#include "obs/exposition.hpp"
 #include "obs/profile.hpp"
 #include "obs/publish.hpp"
 #include "support/check.hpp"
@@ -54,33 +55,6 @@ std::string unpack_string(const std::uint64_t* words, std::size_t count,
   }
   pos += nwords;
   return s;
-}
-
-/// Minimal JSON string escaper — metric names are identifiers, but a stray
-/// quote must not produce an unparseable file.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -409,49 +383,6 @@ void Recorder::write_trace_json(std::ostream& out) const {
   out << "}}\n";
 }
 
-void Recorder::write_metrics_json(
-    std::ostream& out,
-    const std::vector<std::pair<std::string, std::string>>& context) const {
-  const std::vector<MetricSnapshot> snaps = metrics_.snapshot();
-  out << "{\n  \"context\": {";
-  for (std::size_t i = 0; i < context.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "\n    \"" << json_escape(context[i].first) << "\": \""
-        << json_escape(context[i].second) << "\"";
-  }
-  out << (context.empty() ? "}" : "\n  }");
-  const auto write_section = [&](const char* title, Kind kind) {
-    out << ",\n  \"" << title << "\": {";
-    bool first = true;
-    for (const MetricSnapshot& s : snaps) {
-      if (s.kind != kind) continue;
-      if (!first) out << ",";
-      first = false;
-      out << "\n    \"" << json_escape(s.name) << "\": ";
-      if (kind == Kind::kHistogram) {
-        char mean[32];
-        std::snprintf(mean, sizeof(mean), "%.3f",
-                      s.count == 0
-                          ? 0.0
-                          : static_cast<double>(s.sum) /
-                                static_cast<double>(s.count));
-        out << "{\"count\": " << s.count << ", \"sum\": " << s.sum
-            << ", \"min\": " << (s.count == 0 ? 0 : s.min)
-            << ", \"max\": " << s.max << ", \"mean\": " << mean << "}";
-      } else if (kind == Kind::kGauge && signed_gauge_name(s.name)) {
-        out << static_cast<std::int64_t>(s.value());
-      } else {
-        out << s.value();
-      }
-    }
-    out << (first ? "}" : "\n  }");
-  };
-  write_section("counters", Kind::kCounter);
-  write_section("gauges", Kind::kGauge);
-  write_section("histograms", Kind::kHistogram);
-  out << "\n}\n";
-}
-
 void Recorder::write_stats_table(std::ostream& out) const {
   const std::vector<MetricSnapshot> snaps = metrics_.snapshot();
   out << "-- stats ------------------------------------------------------\n";
@@ -562,12 +493,11 @@ RoundInstruments RoundInstruments::create(Metrics& m) {
   r.messages = m.counter("rounds.messages");
   r.payload_words = m.counter("rounds.payload_words");
   r.rounds_executed = m.counter("rounds.executed");
-  r.send_us = m.histogram("phase.send.us");
-  r.ship_us = m.histogram("phase.ship.us");
-  r.barrier_us = m.histogram("phase.barrier.us");
-  r.patch_us = m.histogram("phase.patch.us");
-  r.receive_us = m.histogram("phase.receive.us");
-  r.round_us = m.histogram("phase.round.us");
+  for (const Phase p : {Phase::kSend, Phase::kShip, Phase::kBarrier,
+                        Phase::kPatch, Phase::kReceive, Phase::kRound}) {
+    r.phase_us[static_cast<std::size_t>(p)] =
+        m.histogram(std::string("phase.") + phase_name(p) + ".us");
+  }
   return r;
 }
 

@@ -4,7 +4,8 @@
 /// Per-run observability recorder: a `Metrics` registry plus a buffer of
 /// phase-scoped trace spans, with (a) a word-level drain/merge codec so
 /// distributed runtimes can ship every rank's data through the existing
-/// gather machinery, and (b) Chrome trace-event / metrics JSON writers.
+/// gather machinery, and (b) Chrome trace-event JSON and stats-table
+/// writers (the metrics JSON renderer lives in obs/exposition.hpp).
 ///
 /// One `Recorder` exists per observed run, owned by whoever requested
 /// observability (the CLI tools, a test) and handed to executors via
@@ -203,14 +204,6 @@ class Recorder {
   /// when events were evicted.
   void write_trace_json(std::ostream& out) const;
 
-  /// Metrics snapshot JSON: {"context": {...}, "counters": {...},
-  /// "gauges": {...}, "histograms": {...}}. Counters and gauges are bare
-  /// integers, so deterministic counters compare bit-identically across
-  /// runtimes; histograms expose count/sum/min/max/mean.
-  void write_metrics_json(
-      std::ostream& out,
-      const std::vector<std::pair<std::string, std::string>>& context) const;
-
   /// Human-readable summary table (the CLI's --stats view).
   void write_stats_table(std::ostream& out) const;
 
@@ -250,8 +243,9 @@ class Recorder {
   std::map<std::string, std::uint64_t> merged_folded_;
 };
 
-/// The standard per-round instruments every executor records — bundled so
-/// the four runtimes register the same metric names. The `rounds.*` counters
+/// The standard per-round instruments every executor records. Only
+/// `local::RoundClock` creates them, so all four runtimes register the same
+/// metric names. The `rounds.*` counters
 /// are the *deterministic* set: for a fixed (graph, strategy, seed) their
 /// totals are bit-identical across runtimes (distributed ranks each add only
 /// their own share; the drain/merge reconstructs the global sums).
@@ -260,12 +254,9 @@ struct RoundInstruments {
   Counter messages;       ///< rounds.messages
   Counter payload_words;  ///< rounds.payload_words
   Counter rounds_executed;  ///< rounds.executed (once per run, fleet-wide)
-  Histogram send_us;      ///< phase.send.us
-  Histogram ship_us;      ///< phase.ship.us
-  Histogram barrier_us;   ///< phase.barrier.us
-  Histogram patch_us;     ///< phase.patch.us
-  Histogram receive_us;   ///< phase.receive.us
-  Histogram round_us;     ///< phase.round.us
+  /// phase.<name>.us, indexed by Phase value. The send, ship, barrier,
+  /// patch, receive and round histograms are standard; others stay null.
+  Histogram phase_us[8];
 
   /// Registers (or re-finds) the standard names in `m`.
   static RoundInstruments create(Metrics& m);

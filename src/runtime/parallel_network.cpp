@@ -1,28 +1,12 @@
 #include "runtime/parallel_network.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <thread>
 
-#include "obs/recorder.hpp"
 #include "support/check.hpp"
 
 namespace ds::runtime {
-
-namespace {
-
-/// Steady-clock µs for shard timing when only a RoundStatsSink (no
-/// recorder) is installed — the absolute base is irrelevant, only busy_us
-/// differences are read.
-std::uint64_t tick_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 std::size_t ParallelNetwork::resolve_threads(std::size_t num_threads) {
   if (num_threads != 0) return num_threads;
@@ -47,6 +31,7 @@ ParallelNetwork::ParallelNetwork(const graph::Graph& g,
   for (auto& arena : span_arenas_) arena.resize(topology_.total_ports());
   read_bases_.resize(num_shards);
   counters_.resize(num_shards);
+  windows_.resize(num_shards);
 }
 
 void ParallelNetwork::run_epoch_shard(std::size_t s) {
@@ -55,18 +40,21 @@ void ParallelNetwork::run_epoch_shard(std::size_t s) {
   const graph::NodeId first = bounds_[s];
   const graph::NodeId last = bounds_[s + 1];
   ShardCounters c;
-  // Workers only call the const now_us() on the shared recorder — safe
-  // concurrently; each shard writes its own counters_ slot.
-  obs::Recorder* const rec = recorder();
-  if (plan.timed) c.start_us = rec != nullptr ? rec->now_us() : tick_us();
+  // Only the shard's own windows_ slot is written; the clock and the
+  // thread-local perf group are safe to use concurrently.
+  local::ShardWindow* const window =
+      plan.clock != nullptr ? &windows_[s] : nullptr;
   // Per-thread hardware counters: pool threads are long-lived, so the
   // thread-local group opens once and attributes work to the thread that
   // did it. Sink-only (recorder-less) runs skip the sampling entirely.
   obs::PerfCounters* perf = nullptr;
-  if (rec != nullptr && plan.timed) {
-    static thread_local obs::PerfCounters tls_perf;
-    perf = &tls_perf;
-    c.perf_begin = perf->sample();
+  if (window != nullptr) {
+    window->start_us = plan.clock->now_us();
+    if (recorder() != nullptr) {
+      static thread_local obs::PerfCounters tls_perf;
+      perf = &tls_perf;
+      window->perf_begin = perf->sample();
+    }
   }
   local::WordBank* bank = nullptr;
   if (plan.send) {
@@ -97,10 +85,10 @@ void ParallelNetwork::run_epoch_shard(std::size_t s) {
     }
     if (!prog.done()) ++c.not_done;
   }
-  if (plan.timed) {
-    c.busy_us = (rec != nullptr ? rec->now_us() : tick_us()) - c.start_us;
+  if (window != nullptr) {
+    window->busy_us = plan.clock->now_us() - window->start_us;
+    if (perf != nullptr) window->perf_end = perf->sample();
   }
-  if (perf != nullptr) c.perf_end = perf->sample();
   counters_[s] = c;
 }
 
@@ -131,24 +119,8 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
     run_epoch_shard(s);
   };
 
-  obs::Recorder* const rec = recorder();
-  obs::RoundInstruments ins;
-  obs::Histogram epoch_us;
-  obs::Histogram straggler_us;
-  // The probe group only answers "is the hardware available" for eager
-  // registration; the actual deltas come from each worker thread's
-  // thread-local group, sampled inside run_epoch_shard.
-  std::unique_ptr<obs::PerfCounters> perf_probe;
-  obs::PhasePerf phase_perf;
-  if (rec != nullptr) {
-    ins = obs::RoundInstruments::create(rec->metrics());
-    epoch_us = rec->metrics().histogram("phase.epoch.us");
-    straggler_us = rec->metrics().histogram("shard.straggler.us");
-    rec->set_lane_kind("shard");
-    perf_probe = std::make_unique<obs::PerfCounters>();
-    phase_perf = obs::PhasePerf(rec->metrics(), *perf_probe,
-                                {obs::Phase::kEpoch, obs::Phase::kRound});
-  }
+  if (recorder() != nullptr) recorder()->set_lane_kind("shard");
+  local::RoundClock clock(recorder(), sink_, {obs::Phase::kEpoch});
 
   pool_.parallel_for(num_shards, count_fn);
   std::size_t alive = 0;
@@ -164,7 +136,7 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
   // 0 is the degenerate case with nothing to receive), then send(r) into
   // the current one — one barrier per round.
   plan_ = EpochPlan{};
-  plan_.timed = rec != nullptr || static_cast<bool>(sink_);
+  plan_.clock = clock.timed() ? &clock : nullptr;
   for (std::size_t r = 0;; ++r) {
     const bool sending = r < max_rounds;
     plan_.recv = r > 0;
@@ -183,83 +155,29 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
         read_bases_[s] = read_banks[s].data();
       }
     }
-    const auto t0 = std::chrono::steady_clock::now();
+    clock.begin();
     pool_.parallel_for(num_shards, epoch_fn);
 
-    std::size_t senders = 0;
-    std::size_t messages = 0;
-    std::size_t payload_words = 0;
+    local::RoundCounts counts;
     std::size_t not_done = 0;
-    std::uint64_t straggler = 0;
     for (const ShardCounters& c : counters_) {
-      senders += c.senders;
-      messages += c.messages;
-      payload_words += c.payload_words;
+      counts.live_nodes += c.senders;
+      counts.messages += c.messages;
+      counts.payload_words += c.payload_words;
       not_done += c.not_done;
-      straggler = std::max(straggler, c.busy_us);
     }
     // A senders == 0 epoch is the trailing receive-only flush past the last
     // round; the sequential executor has no such round, so neither counters
     // nor stats may record it (the cross-runtime determinism of the
     // `rounds.*` metrics depends on this).
-    if (rec != nullptr && senders > 0) {
-      ins.live_nodes.add(senders);
-      ins.messages.add(messages);
-      ins.payload_words.add(payload_words);
-      straggler_us.record(straggler);
-      std::uint64_t round_start = UINT64_MAX;
-      std::uint64_t round_end = 0;
-      // The round's hardware totals are the sum of shard busy deltas (the
-      // run() thread only waits at the barrier, so its own counters would
-      // add nothing); unavailable on any shard marks the round span too.
-      std::uint64_t round_cycles = 0;
-      std::uint64_t round_insns = 0;
-      bool round_perf = true;
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        const ShardCounters& c = counters_[s];
-        epoch_us.record(c.busy_us);
-        const obs::SpanPerf d =
-            phase_perf.account(obs::Phase::kEpoch, c.perf_begin, c.perf_end);
-        phase_perf.account(obs::Phase::kRound, c.perf_begin, c.perf_end);
-        rec->add_span_on(static_cast<std::uint32_t>(s), obs::Phase::kEpoch,
-                         r, c.start_us, c.busy_us, d.cycles, d.instructions);
-        if (d.cycles == obs::kPerfUnavailable) {
-          round_perf = false;
-        } else {
-          round_cycles += d.cycles;
-          round_insns += d.instructions;
-        }
-        round_start = std::min(round_start, c.start_us);
-        round_end = std::max(round_end, c.start_us + c.busy_us);
-      }
-      ins.round_us.record(round_end - round_start);
-      rec->add_span(obs::Phase::kRound, r, round_start,
-                    round_end - round_start,
-                    round_perf ? round_cycles : obs::kPerfUnavailable,
-                    round_perf ? round_insns : obs::kPerfUnavailable);
-      rec->publish_round(r + 1);  // live-introspection snapshot
-    }
-    if (sink_ && senders > 0) {
-      local::RoundStats stats;
-      stats.round = r;
-      stats.wall_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      stats.live_nodes = senders;
-      stats.messages = messages;
-      stats.payload_words = payload_words;
-      stats.max_shard_seconds = static_cast<double>(straggler) / 1e6;
-      sink_(stats);
-    }
+    const bool executed = counts.live_nodes > 0;
+    if (executed) clock.end_round(counts, counts, &windows_);
     if (not_done == 0) {
       // Round r executed iff anything was sent in it (a program may halt
       // only after a final send — the sequential executor then counts that
       // farewell round too).
-      const std::size_t rounds = senders > 0 ? r + 1 : r;
-      if (rec != nullptr) {
-        ins.rounds_executed.add(rounds);
-        rec->publish_round(rounds);  // final snapshot with rounds.executed
-      }
+      const std::size_t rounds = executed ? r + 1 : r;
+      clock.finish(rounds);
       collect_outputs_from_programs();
       if (meter != nullptr) meter->add_executed(rounds);
       return rounds;

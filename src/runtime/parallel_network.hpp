@@ -61,7 +61,6 @@
 #include "local/program.hpp"
 #include "local/round_stats.hpp"
 #include "local/topology.hpp"
-#include "obs/perf.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace ds::runtime {
@@ -123,24 +122,15 @@ class ParallelNetwork final : public local::Executor {
     std::size_t messages = 0;
     std::size_t payload_words = 0;
     std::size_t not_done = 0;
-    /// Epoch busy time of this shard (µs), measured only when the plan is
-    /// `timed` — the straggler gap between max and min busy_us is the
-    /// imbalance the degree-balanced split is supposed to bound.
-    std::uint64_t start_us = 0;
-    std::uint64_t busy_us = 0;
-    /// Hardware-counter samples bracketing the shard's busy window, taken
-    /// from the worker thread's thread-local counter group (observed runs
-    /// only). The run() thread turns the pair into per-shard epoch deltas
-    /// and the round's summed totals.
-    obs::PerfSample perf_begin;
-    obs::PerfSample perf_end;
   };
   /// What one fused pool epoch does; written by run() before the epoch,
   /// read by the workers (the pool's epoch handoff orders the accesses).
   struct EpochPlan {
     bool recv = false;   ///< run receive(round - 1) first
     bool send = false;   ///< then run send(round)
-    bool timed = false;  ///< measure per-shard busy time (stats/obs on)
+    /// Non-null when stats or obs are on: each shard times its busy
+    /// window into windows_ on this clock.
+    const local::RoundClock* clock = nullptr;
     std::size_t round = 0;          ///< the round being *sent*
     std::uint64_t send_epoch = 0;   ///< tag for spans written this epoch
     std::uint64_t recv_epoch = 0;   ///< tag the received round's writers used
@@ -163,6 +153,10 @@ class ParallelNetwork final : public local::Executor {
   /// Read-side bank base pointers of the epoch in flight, indexed by shard.
   std::vector<const std::uint64_t*> read_bases_;
   std::vector<ShardCounters> counters_;
+  /// Per-shard busy windows of the epoch in flight (timed runs only) — the
+  /// straggler gap between the longest and shortest window is the imbalance
+  /// the degree-balanced split is supposed to bound.
+  std::vector<local::ShardWindow> windows_;
   std::vector<std::unique_ptr<local::NodeProgram>> programs_;
   EpochPlan plan_;
   /// Monotone round tag shared by both arenas; never reset across runs.

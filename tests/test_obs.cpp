@@ -1,22 +1,28 @@
 // Tests for the observability layer (src/obs/): metrics registry
 // semantics, the disabled no-op path, the drain/merge codec, trace /
-// metrics JSON well-formedness, and — the load-bearing property — that the
-// deterministic `rounds.*` counters are bit-identical across all four
-// runtimes for a fixed (graph, IdStrategy, seed).
+// metrics JSON well-formedness, the round clock's span nesting on all four
+// runtimes, and — the load-bearing property — that the deterministic
+// `rounds.*` counters are bit-identical across all four runtimes for a
+// fixed (graph, IdStrategy, seed).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "algo/registry.hpp"
+#include "determinism_probe.hpp"
 #include "graph/generators.hpp"
+#include "local/network.hpp"
 #include "net/loopback.hpp"
 #include "net/tcp_network.hpp"
+#include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "runtime/select.hpp"
@@ -363,7 +369,8 @@ TEST(Recorder, SequentialRunEmitsSpansAndValidJson) {
   EXPECT_NE(trace.str().find("\"traceEvents\""), std::string::npos);
 
   std::ostringstream metrics;
-  rec.write_metrics_json(metrics, {{"algo", "mis"}, {"seed", "9"}});
+  write_metrics_json(metrics, {{"algo", "mis"}, {"seed", "9"}},
+                     rec.metrics().snapshot());
   EXPECT_TRUE(JsonValidator::valid(metrics.str())) << metrics.str();
   EXPECT_NE(metrics.str().find("\"rounds.messages\""), std::string::npos);
 
@@ -485,6 +492,148 @@ TEST(Conformance, DeterministicCountersIdenticalAcrossRuntimes) {
         });
     EXPECT_TRUE(report.all_ok()) << label;
   }
+}
+
+// ---- Round span nesting ---------------------------------------------------
+
+/// The first violation of the round clock's nesting contract in `events`
+/// ("" when none), lane by lane: round r's phase spans lie inside the
+/// lane's kRound span for r and do not overlap one another, and
+/// consecutive kRound spans do not overlap. Lanes without kRound spans
+/// (parallel shards past lane 0) only carry kEpoch spans and are skipped.
+std::string nesting_violation(const std::vector<TraceEvent>& events) {
+  std::map<std::pair<std::uint32_t, std::uint64_t>, TraceEvent> rounds;
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::vector<TraceEvent>>
+      phases;
+  std::set<std::uint32_t> round_lanes;
+  for (const TraceEvent& e : events) {
+    if (e.phase == Phase::kRound) {
+      round_lanes.insert(e.lane);
+      if (!rounds.emplace(std::make_pair(e.lane, e.round), e).second) {
+        return "two round spans for lane " + std::to_string(e.lane) +
+               " round " + std::to_string(e.round);
+      }
+    } else if (e.phase != Phase::kGather) {
+      phases[{e.lane, e.round}].push_back(e);
+    }
+  }
+  const auto where = [](const TraceEvent& e) {
+    return std::string(phase_name(e.phase)) + " lane " +
+           std::to_string(e.lane) + " round " + std::to_string(e.round);
+  };
+  const TraceEvent* prev = nullptr;
+  for (const auto& [key, round] : rounds) {
+    if (prev != nullptr && prev->lane == round.lane &&
+        prev->ts_us + prev->dur_us > round.ts_us) {
+      return "overlapping round spans: " + where(*prev) + " and " +
+             where(round);
+    }
+    prev = &round;
+  }
+  for (auto& [key, spans] : phases) {
+    if (round_lanes.count(key.first) == 0) continue;
+    const auto it = rounds.find(key);
+    if (it == rounds.end()) return "no round span for " + where(spans[0]);
+    const TraceEvent& round = it->second;
+    std::sort(spans.begin(), spans.end(),
+              [](const TraceEvent& a, const TraceEvent& b) {
+                return a.ts_us < b.ts_us;
+              });
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      const TraceEvent& e = spans[i];
+      if (e.ts_us < round.ts_us ||
+          e.ts_us + e.dur_us > round.ts_us + round.dur_us) {
+        return where(e) + " outside its round span";
+      }
+      if (i > 0 && spans[i - 1].ts_us + spans[i - 1].dur_us > e.ts_us) {
+        return where(spans[i - 1]) + " overlaps " + where(e);
+      }
+    }
+  }
+  return "";
+}
+
+/// The first RoundStats whose phase seconds add up to more than its wall
+/// time ("" when none). The slack absorbs the rounding of summing
+/// separately converted nanosecond durations.
+std::string stats_violation(const std::vector<local::RoundStats>& stats) {
+  for (const local::RoundStats& s : stats) {
+    const double phases = s.send_seconds + s.ship_seconds +
+                          s.barrier_seconds + s.patch_seconds +
+                          s.receive_seconds;
+    if (phases > s.wall_seconds + 1e-9) {
+      return "round " + std::to_string(s.round) + ": phases " +
+             std::to_string(phases) + " s > wall " +
+             std::to_string(s.wall_seconds) + " s";
+    }
+  }
+  return "";
+}
+
+TEST(RoundClock, PhaseSpansNestInRoundSpansOnEveryRuntime) {
+  Rng rng(23);
+  const graph::Graph g = graph::gen::gnp(90, 0.06, rng);
+  const auto probe = probes::probe_factory();
+
+  runtime::RuntimeConfig parallel;
+  parallel.kind = runtime::RuntimeKind::kParallel;
+  parallel.threads = 3;
+  runtime::RuntimeConfig mp;
+  mp.kind = runtime::RuntimeKind::kMultiProcess;
+  mp.workers = 2;
+  const std::vector<std::pair<std::string, runtime::RuntimeConfig>> configs =
+      {{"sequential", {}}, {"parallel", parallel}, {"mp", mp}};
+  for (const auto& [label, config] : configs) {
+    Recorder rec;
+    std::vector<local::RoundStats> stats;
+    const auto exec = local::make_executor(
+        runtime::make_executor_factory(config, {}, &rec), g,
+        local::IdStrategy::kSequential, 5);
+    exec->set_stats_sink(
+        [&](const local::RoundStats& s) { stats.push_back(s); });
+    const std::size_t rounds = exec->run(probe, 100);
+    EXPECT_GT(rounds, 1u) << label;
+    EXPECT_EQ(stats.size(), rounds) << label;
+    EXPECT_FALSE(rec.events().empty()) << label;
+    EXPECT_EQ(nesting_violation(rec.ordered_events()), "") << label;
+    EXPECT_EQ(stats_violation(stats), "") << label;
+  }
+
+  // TCP loopback fleet: exit-code checks, not EXPECT — a gtest failure on
+  // a forked child rank would die silently with the process. Rank 0's
+  // recorder holds both lanes after the fleet merge; every rank's sink
+  // sees the fleet's stats.
+  net::TcpOptions topts;
+  topts.handshake_timeout_ms = 20000;
+  topts.round_timeout_ms = 30000;
+  std::string rank0_violation;
+  const net::LoopbackReport report = net::run_loopback_ranks(
+      2, [&](net::LoopbackRank&& lr) -> int {
+        net::TcpNetworkConfig config;
+        config.rank = lr.rank;
+        config.hosts = std::move(lr.hosts);
+        config.listen = std::move(lr.listen);
+        config.transport = topts;
+        const std::size_t rank = config.rank;
+        net::TcpNetwork net(g, local::IdStrategy::kSequential, 5,
+                            std::move(config));
+        Recorder rec;
+        net.set_recorder(&rec);
+        std::vector<local::RoundStats> stats;
+        net.set_stats_sink(
+            [&](const local::RoundStats& s) { stats.push_back(s); });
+        const std::size_t rounds = net.run(probe, 100);
+        if (stats.size() != rounds) return 3;
+        if (!stats_violation(stats).empty()) return 4;
+        if (rank != 0) return 0;
+        std::set<std::uint32_t> lanes;
+        for (const TraceEvent& e : rec.events()) lanes.insert(e.lane);
+        if (lanes != std::set<std::uint32_t>{0, 1}) return 5;
+        rank0_violation = nesting_violation(rec.ordered_events());
+        return rank0_violation.empty() ? 0 : 6;
+      });
+  EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
+  EXPECT_EQ(rank0_violation, "");
 }
 
 TEST(Conformance, UnobservedRunsStayUnobserved) {

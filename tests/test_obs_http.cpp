@@ -267,10 +267,15 @@ TEST(Exposition, FallbackRunSynthesizesNoHardwareFamilies) {
 TEST(HttpServer, ServesAllEndpointsOnAnEphemeralPort) {
   Recorder rec;
   Counter c = rec.metrics().counter("rounds.messages");
+  Gauge offset = rec.metrics().gauge("clock.offset.rank1.us");
+  Histogram send_us = rec.metrics().histogram("phase.send.us");
   SnapshotPublisher pub;
   pub.set_info({{"algo", "test"}, {"runtime", "unit <&> test"}});
   rec.set_publisher(&pub);
   c.add(1);
+  offset.set(static_cast<std::uint64_t>(std::int64_t{-42}));
+  send_us.record(3);
+  send_us.record(8);
   rec.publish_round(1);
 
   HttpServer server(pub, /*port=*/0);
@@ -299,6 +304,21 @@ TEST(HttpServer, ServesAllEndpointsOnAnEphemeralPort) {
   EXPECT_NE(snapshot.headers.find("application/json"), std::string::npos);
   EXPECT_NE(snapshot.body.find("\"context\""), std::string::npos);
   EXPECT_NE(snapshot.body.find("\"rounds.messages\": 1"), std::string::npos);
+  // One renderer: the tools' --metrics file over the same registry has
+  // byte-identical metric sections; only the context differs.
+  std::ostringstream file;
+  write_metrics_json(file, {{"algo", "test"}}, rec.metrics().snapshot());
+  const auto sections = [](const std::string& json) {
+    const std::size_t at = json.find("\"counters\"");
+    return at == std::string::npos ? std::string() : json.substr(at);
+  };
+  EXPECT_NE(sections(file.str()).find("\"clock.offset.rank1.us\": -42"),
+            std::string::npos)
+      << file.str();
+  EXPECT_NE(sections(file.str()).find("\"phase.send.us\": {\"count\": 2"),
+            std::string::npos)
+      << file.str();
+  EXPECT_EQ(sections(file.str()), sections(snapshot.body));
 
   EXPECT_EQ(http_get(server.port(), "/nope").status, 404);
   EXPECT_EQ(http_request(server.port(), "POST", "/metrics").status, 405);

@@ -75,6 +75,7 @@
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
 #include "net/socket.hpp"
+#include "obs/exposition.hpp"
 #include "obs/http_server.hpp"
 #include "obs/profile.hpp"
 #include "obs/publish.hpp"
@@ -490,7 +491,7 @@ int cmd_run(const RunPlan& plan, const Options& opts) {
         context.push_back(kv);
       }
       write_file(metrics_path, "metrics", [&](std::ostream& out) {
-        rec->write_metrics_json(out, context);
+        obs::write_metrics_json(out, context, rec->metrics().snapshot());
       });
       std::cout << "metrics: " << metrics_path << "\n";
     }

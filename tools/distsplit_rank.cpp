@@ -72,6 +72,7 @@
 #include "net/loopback.hpp"
 #include "net/socket.hpp"
 #include "net/tcp_network.hpp"
+#include "obs/exposition.hpp"
 #include "obs/http_server.hpp"
 #include "obs/profile.hpp"
 #include "obs/publish.hpp"
@@ -351,7 +352,7 @@ int run_rank(const RankPlan& plan, const Options& opts, std::size_t rank,
       for (const auto& kv : Provenance::get().context()) {
         context.push_back(kv);
       }
-      rec->write_metrics_json(out, context);
+      obs::write_metrics_json(out, context, rec->metrics().snapshot());
       out.flush();
       DS_CHECK_MSG(out.good(),
                    "failed writing metrics output file: " + metrics_path);
