@@ -66,14 +66,15 @@ class TrialProgram final : public local::NodeProgram {
 
  private:
   std::uint64_t draw() {
-    // Uniform over available palette entries [0, degree+1).
-    std::vector<std::uint64_t> options;
-    options.reserve(env_.degree + 1);
-    for (std::uint64_t c = 0; c <= env_.degree; ++c) {
-      if (available_[c]) options.push_back(c);
+    // Uniform over available palette entries [0, degree+1): draw the rank
+    // among the available colors, then walk to that entry.
+    std::size_t count = 0;
+    for (std::uint64_t c = 0; c <= env_.degree; ++c) count += available_[c];
+    DS_CHECK_MSG(count > 0, "palette exhausted (impossible at Δ+1)");
+    std::size_t rank = env_.rng.next_index(count);
+    for (std::uint64_t c = 0;; ++c) {
+      if (available_[c] && rank-- == 0) return c;
     }
-    DS_CHECK_MSG(!options.empty(), "palette exhausted (impossible at Δ+1)");
-    return options[env_.rng.next_index(options.size())];
   }
 
   local::NodeEnv env_;

@@ -69,8 +69,9 @@ struct RankView {
   /// for pure factories (no cross-node mutable state), which the in-situ
   /// path requires anyway.
   bool construct_all = true;
-  /// Builds the node environment (uid, degree, neighbor uids, forked rng)
-  /// for one owned node; must be defined for every constructed node.
+  /// Builds the node environment (uid, degree, neighbor view, forked rng)
+  /// for one owned node; must be defined for every constructed node. The
+  /// environment's views must stay valid for the whole run.
   std::function<local::NodeEnv(graph::NodeId)> env_of;
 };
 

@@ -11,8 +11,10 @@
 /// executor must produce bit-identical per-node program outputs and the same
 /// round count — regardless of executor kind or thread count. This holds
 /// because node programs only interact through port-indexed messages, every
-/// node's randomness is the pure fork(seed, uid), and executors separate the
-/// send and receive phases of each round with a barrier.
+/// node's randomness is the pure fork(seed, uid) — a SplitMix64 counter
+/// stream whose every draw is defined in support/rng.cpp rather than by the
+/// standard library, so outputs also agree across toolchains — and executors
+/// separate the send and receive phases of each round with a barrier.
 
 #include <cstdint>
 #include <functional>

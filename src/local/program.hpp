@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "graph/graph.hpp"
 #include "local/message_arena.hpp"
@@ -16,16 +15,28 @@
 
 namespace ds::local {
 
-/// Read-only environment a node program is constructed with.
+/// Read-only environment a node program is constructed with. A trivially
+/// copyable, heap-free view: `neighbors` and `uids` point into the
+/// executor's `NetworkTopology` (or, in situ, the rank-local CSR), so an
+/// environment — and any program copy of it — is valid only while that
+/// topology or CSR lives, i.e. for the duration of the run.
 struct NodeEnv {
   graph::NodeId node = 0;        ///< dense index of this node
   std::uint64_t uid = 0;         ///< unique LOCAL-model identifier
   std::size_t n = 0;             ///< number of nodes (global knowledge)
   std::size_t degree = 0;        ///< this node's degree
-  /// UIDs of the neighbors, indexed by port (position in adjacency list).
-  std::vector<std::uint64_t> neighbor_uids;
+  /// Dense ids of the neighbors, indexed by port (adjacency-list order).
+  graph::NeighborView neighbors;
+  /// UID table indexed by dense id; null when uid == dense id (the
+  /// sequential ID strategy, the only one the in-situ path runs).
+  const std::uint64_t* uids = nullptr;
   /// Private randomness stream of this node.
   Rng rng{0};
+
+  /// UID of the neighbor at port p.
+  [[nodiscard]] std::uint64_t neighbor_uid(std::size_t p) const {
+    return uids != nullptr ? uids[neighbors[p]] : neighbors[p];
+  }
 };
 
 /// Per-node program. One round = send() at every node, message delivery,

@@ -49,11 +49,9 @@ NodeEnv NetworkTopology::make_env(graph::NodeId v) const {
   env.node = v;
   env.uid = uids_[v];
   env.n = graph_->num_nodes();
-  env.degree = graph_->degree(v);
-  env.neighbor_uids.reserve(env.degree);
-  for (graph::NodeId w : graph_->neighbors(v)) {
-    env.neighbor_uids.push_back(uids_[w]);
-  }
+  env.neighbors = graph_->neighbors(v);
+  env.degree = env.neighbors.size();
+  env.uids = uids_.data();
   // Identical to the historical Network derivation: fork(seed, uid) is pure,
   // so per-node streams are independent of construction order.
   env.rng = master_.fork(uids_[v]);

@@ -69,7 +69,9 @@ class NetworkTopology {
 
   /// Builds the construction environment of node v, including its private
   /// randomness stream fork(seed, uid). Pure: callable from any thread, any
-  /// order, always yielding the same environment.
+  /// order, always yielding the same environment. Allocates nothing: the
+  /// environment views this topology's graph and UID table, so it is valid
+  /// while this topology lives.
   [[nodiscard]] NodeEnv make_env(graph::NodeId v) const;
 
  private:

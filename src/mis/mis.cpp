@@ -21,22 +21,12 @@ namespace {
 ///    halt as MIS members and their neighbors halt as dominated.
 class LubyProgram final : public local::NodeProgram {
  public:
-  /// Stores only (uid, fork seed, draw count) — ~32 bytes per node instead
-  /// of a full NodeEnv copy (whose mt19937_64 alone is 2.5 KB). The engine
-  /// is rebuilt from the fork seed and advanced `draws_` steps on demand,
-  /// which is bit-identical to keeping it resident: `env.rng` is freshly
-  /// forked per node, and the alive population halves every phase, so the
-  /// amortized replay cost stays O(n) draws overall. This is what lets a
-  /// 5M-node in-situ rank hold its resident programs in a few hundred MB.
   explicit LubyProgram(const local::NodeEnv& env)
-      : uid_(env.uid), rng_seed_(env.rng.seed()) {}
+      : uid_(env.uid), rng_(env.rng) {}
 
   void send(std::size_t round, local::Outbox& out) override {
     if (round % 2 == 0) {
-      Rng rng(rng_seed_);
-      for (std::uint32_t k = 0; k < draws_; ++k) rng.next_raw();
-      priority_ = rng.next_raw();
-      ++draws_;
+      priority_ = rng_.next_raw();
       out.broadcast({priority_, uid_});
     } else {
       out.broadcast({joining_ ? 1ull : 0ull});
@@ -77,9 +67,8 @@ class LubyProgram final : public local::NodeProgram {
 
  private:
   std::uint64_t uid_;
-  std::uint64_t rng_seed_;
+  Rng rng_;
   std::uint64_t priority_ = 0;
-  std::uint32_t draws_ = 0;
   bool joining_ = false;
   bool in_mis_ = false;
   bool done_ = false;

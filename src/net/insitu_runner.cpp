@@ -98,10 +98,12 @@ InsituResult run_body(const algo::Spec& spec, const algo::Params& params,
   // --- The unmodified round protocol over a rank-local view. The factory
   // is constructed for the owned range only (InsituHooks::make_factory is
   // pure per node), environments mirror NetworkTopology::make_env for the
-  // sequential ID strategy: uid == node, neighbor uids == adjacency row,
-  // rng == master.fork(uid). The output_fn stays empty on purpose — the
-  // gather then carries only the observability block, keeping rank 0's
-  // footprint rank-local instead of O(n).
+  // sequential ID strategy: uid == node, so the environment views the CSR
+  // adjacency row with no UID table (neighbor uid == neighbor id) and
+  // allocates nothing; rng == master.fork(uid). The views borrow `csr`,
+  // which outlives the run and the program extraction below. The output_fn
+  // stays empty on purpose — the gather then carries only the observability
+  // block, keeping rank 0's footprint rank-local instead of O(n).
   const local::ProgramFactory factory = hooks.make_factory(params, seed);
   const Rng master(seed);
   dist::RankView view;
@@ -116,8 +118,8 @@ InsituResult run_body(const algo::Spec& spec, const algo::Params& params,
     env.uid = v;
     env.n = n;
     env.degree = csr.offsets[v - first + 1] - off;
-    env.neighbor_uids.assign(csr.adjacency.begin() + off,
-                             csr.adjacency.begin() + off + env.degree);
+    env.neighbors =
+        graph::NeighborView(csr.adjacency.data() + off, env.degree);
     env.rng = master.fork(env.uid);
     return env;
   };

@@ -10,15 +10,21 @@
 /// derives an independent child stream from a (seed, stream-id) pair using a
 /// SplitMix64 mixer, so per-node generators never depend on the order in
 /// which other nodes were processed.
+///
+/// Streams are defined entirely by rng.cpp (SplitMix64, Steele, Lea and
+/// Flood, OOPSLA 2014; bounded draws by Lemire's multiply-and-reject), not by
+/// any standard-library engine or distribution, so they are identical across
+/// compilers and standard libraries.
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
 namespace ds {
 
-/// Deterministic splittable RNG. Thin wrapper around std::mt19937_64 with
-/// stable stream derivation.
+/// Deterministic splittable RNG: a 16-byte SplitMix64 counter stream. The
+/// state is the construction seed plus a Weyl counter; each draw advances the
+/// counter by the golden-ratio gamma and returns its SplitMix64 finalizer.
+/// Trivially copyable, so per-node streams cost two words.
 class Rng {
  public:
   /// Creates a generator seeded with `seed`.
@@ -35,7 +41,7 @@ class Rng {
   /// Uniform integer over the full 64-bit range.
   std::uint64_t next_raw();
 
-  /// Uniform double in [0, 1).
+  /// Uniform double in [0, 1), with 53 random bits.
   double next_double();
 
   /// Bernoulli trial with success probability p.
@@ -57,12 +63,9 @@ class Rng {
   /// Returns a uniformly random permutation of {0, ..., n-1}.
   std::vector<std::size_t> permutation(std::size_t n);
 
-  /// The seed this generator was constructed from (for logging).
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
-
  private:
   std::uint64_t seed_;
-  std::mt19937_64 engine_;
+  std::uint64_t state_;
 };
 
 /// SplitMix64 finalizer: the standard 64-bit mixing function used for

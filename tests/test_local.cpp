@@ -136,7 +136,7 @@ TEST(Network, FloodsMaximumUid) {
 }
 
 /// Program that verifies the port mapping: every node sends its UID on each
-/// port and checks that what it receives on port p matches neighbor_uids[p].
+/// port and checks that what it receives on port p matches neighbor_uid(p).
 class PortChecker : public NodeProgram {
  public:
   explicit PortChecker(const NodeEnv& env) : env_(env) {}
@@ -148,7 +148,7 @@ class PortChecker : public NodeProgram {
   void receive(std::size_t, const Inbox& inbox) override {
     for (std::size_t p = 0; p < inbox.size(); ++p) {
       ASSERT_EQ(inbox[p].size(), 1u);
-      EXPECT_EQ(inbox[p][0], env_.neighbor_uids[p]);
+      EXPECT_EQ(inbox[p][0], env_.neighbor_uid(p));
     }
     done_ = true;
   }

@@ -170,7 +170,7 @@ class VaryingLengthProgram final : public local::NodeProgram {
   void receive(std::size_t /*round*/, const local::Inbox& inbox) override {
     for (std::size_t p = 0; p < inbox.size(); ++p) {
       const local::MessageView msg = inbox[p];
-      const std::uint64_t sender = env_.neighbor_uids[p];
+      const std::uint64_t sender = env_.neighbor_uid(p);
       // The sender skipped *its* port toward us iff (sender_uid + q) % 5 == 0
       // for its port q — we cannot compute q locally, so accept empty, but a
       // non-empty message must be structurally valid and from the right
@@ -368,6 +368,15 @@ TEST(AllocationCounting, ParallelSendPathIsZeroAllocPerRound) {
     const std::size_t long_run = allocations_of_run(net, 48);
     EXPECT_EQ(long_run, short_run) << "threads=" << threads;
   }
+}
+
+TEST(AllocationCounting, ProgramConstructionAllocatesOnlyThePrograms) {
+  // Node environments are heap-free views and FixedRoundGossip keeps a copy
+  // of its own, so one whole run allocates one block per program plus a
+  // per-run constant — not a neighbor table per environment and per copy.
+  const auto g = graph::gen::torus(24, 24);
+  local::Network net(g, local::IdStrategy::kSequential, 9);
+  EXPECT_LT(allocations_of_run(net, 8), 2 * g.num_nodes());
 }
 
 TEST(AllocationCounting, AllocatingReceiveIsCounted) {

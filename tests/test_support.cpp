@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
+
+#include "local/program.hpp"
 
 #include "support/check.hpp"
 #include "support/options.hpp"
@@ -13,6 +16,10 @@
 
 namespace ds {
 namespace {
+
+// Per-node streams cost two words, and node environments copy as raw bytes.
+static_assert(sizeof(Rng) == 16);
+static_assert(std::is_trivially_copyable_v<local::NodeEnv>);
 
 TEST(Check, PassingCheckDoesNothing) { DS_CHECK(1 + 1 == 2); }
 
@@ -87,6 +94,88 @@ TEST(Rng, BernoulliRoughlyFair) {
     if (rng.next_bool()) ++heads;
   }
   EXPECT_NEAR(heads, 5000, 300);
+}
+
+// ---- Known-answer tests: Rng against the textbook SplitMix64 -------------
+
+/// Textbook SplitMix64 step (Steele, Lea, Flood 2014): advance the Weyl
+/// state by the golden gamma, return the variant-13 finalizer of it.
+std::uint64_t reference_splitmix(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+/// One finalizer application to `x` (a fresh stream seeded at x, one step).
+std::uint64_t reference_mix(std::uint64_t x) { return reference_splitmix(x); }
+
+TEST(Rng, KnownAnswerRawMatchesTextbookSplitMix64) {
+  // Published first outputs of SplitMix64 seeded with 0.
+  Rng zero(0);
+  EXPECT_EQ(zero.next_raw(), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(zero.next_raw(), 0x6E789E6AA1B965F4ull);
+  EXPECT_EQ(zero.next_raw(), 0x06C45D188009454Full);
+  for (const std::uint64_t seed : {1ull, 7ull, 0xD15751A17ull, ~0ull}) {
+    Rng rng(seed);
+    std::uint64_t state = seed;
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_EQ(rng.next_raw(), reference_splitmix(state))
+          << "seed=" << seed << " draw=" << i;
+    }
+  }
+}
+
+TEST(Rng, KnownAnswerForkSeedsChildFromMixedStreamId) {
+  for (const std::uint64_t seed : {0ull, 9ull, 0xD15751A17ull}) {
+    const Rng parent(seed);
+    for (const std::uint64_t k : {0ull, 1ull, 2ull, 1000003ull}) {
+      Rng child = parent.fork(k);
+      std::uint64_t state = reference_mix(seed ^ reference_mix(k + 0x5EEDull));
+      for (int i = 0; i < 8; ++i) {
+        ASSERT_EQ(child.next_raw(), reference_splitmix(state))
+            << "seed=" << seed << " stream=" << k << " draw=" << i;
+      }
+    }
+  }
+}
+
+TEST(Rng, KnownAnswerBoundedDrawIsLemireMultiplyReject) {
+  // Bounds that are not powers of two, including one whose rejection zone
+  // (2^64 mod bound) is nearly half the range, so rejections do occur.
+  for (const std::uint64_t bound :
+       {3ull, 10ull, 1000003ull, (1ull << 63) + 1}) {
+    Rng rng(42);
+    std::uint64_t state = 42;
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (int i = 0; i < 256; ++i) {
+      unsigned __int128 m = 0;
+      do {
+        m = static_cast<unsigned __int128>(reference_splitmix(state)) * bound;
+      } while (static_cast<std::uint64_t>(m) < threshold);
+      ASSERT_EQ(rng.next_u64(bound), static_cast<std::uint64_t>(m >> 64))
+          << "bound=" << bound << " draw=" << i;
+    }
+  }
+  // First bounded draws of the seed-0 stream, computed independently.
+  Rng zero(0);
+  EXPECT_EQ(zero.next_u64(1000003), 883313u);
+  EXPECT_EQ(zero.next_u64(1000003), 431529u);
+  EXPECT_EQ(zero.next_u64(1000003), 26433u);
+}
+
+TEST(Rng, KnownAnswerDoubleUsesTop53Bits) {
+  Rng zero(0);
+  EXPECT_EQ(zero.next_double(), 0.8833108082136426);
+  EXPECT_EQ(zero.next_double(), 0.43152799704850997);
+  EXPECT_EQ(zero.next_double(), 0.026433771592597743);
+  Rng rng(5);
+  std::uint64_t state = 5;
+  for (int i = 0; i < 64; ++i) {
+    const double expected =
+        static_cast<double>(reference_splitmix(state) >> 11) / 0x1.0p53;
+    ASSERT_EQ(rng.next_double(), expected) << "draw=" << i;
+  }
 }
 
 TEST(Summary, BasicStatistics) {
