@@ -37,7 +37,7 @@ DistributedNetwork::DistributedNetwork(const graph::Graph& g,
                                        local::IdStrategy strategy,
                                        std::uint64_t seed,
                                        DistributedConfig config)
-    : topology_(g, strategy, seed),
+    : Executor(g, strategy, seed),
       config_(config),
       partition_(topology_,
                  resolve_workers(config.workers, g.num_nodes())),
@@ -87,8 +87,9 @@ std::size_t DistributedNetwork::run_worker(
   // children's copies die with _exit), matching the sequential executor's
   // single-sink contract.
   const local::RoundStatsSink sink = (w == 0) ? sink_ : local::RoundStatsSink{};
+  std::vector<std::unique_ptr<local::NodeProgram>> programs;
   return run_rank_loop(full_view(topology_), partition_, transport, factory,
-                       max_rounds, epoch_, sink, output_fn_, programs_, rec);
+                       max_rounds, epoch_, sink, output_fn_, programs, rec);
 }
 
 std::size_t DistributedNetwork::run(const local::ProgramFactory& factory,
@@ -179,14 +180,6 @@ std::size_t DistributedNetwork::run(const local::ProgramFactory& factory,
 
   if (meter != nullptr) meter->add_executed(rounds);
   return rounds;
-}
-
-const local::NodeProgram& DistributedNetwork::program(graph::NodeId v) const {
-  DS_CHECK(v < programs_.size());
-  DS_CHECK_MSG(programs_[v] != nullptr,
-               "program(v) is only resident in the owning worker process; "
-               "use set_output_fn/outputs() for cross-worker results");
-  return *programs_[v];
 }
 
 }  // namespace ds::dist

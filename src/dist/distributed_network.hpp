@@ -36,9 +36,8 @@
 /// For a fixed (graph, IdStrategy, seed), DistributedNetwork produces
 /// bit-identical per-node program outputs, round counts and RoundStats to
 /// `local::Network` at every worker count: topology/UIDs/randomness are the
-/// shared pure constructions, the factory is invoked for every node in node
-/// order in every worker (so stateful factories observe the sequential
-/// call sequence), and the halo exchange transports message words verbatim
+/// shared pure constructions, each worker builds the programs of its own
+/// range only, and the halo exchange transports message words verbatim
 /// with the executor's barriers reproducing the send-then-receive phase
 /// order. tests/test_dist.cpp asserts the contract at 1/2/4 workers.
 ///
@@ -48,8 +47,6 @@
 /// calling process through the `Executor` output-gather contract: install a
 /// serializer with `set_output_fn` *before* `run()` (each worker applies it
 /// to its owned programs and ships the words), then read `outputs()`.
-/// `program(v)` is only resident for worker 0's own range and throws for
-/// nodes owned by other workers.
 
 #include <sys/types.h>
 
@@ -98,19 +95,6 @@ class DistributedNetwork final : public local::Executor {
                   std::size_t max_rounds,
                   local::CostMeter* meter = nullptr) override;
 
-  /// Only resident for nodes owned by worker 0 (the calling process); use
-  /// `outputs()` for executor-portable result extraction.
-  [[nodiscard]] const local::NodeProgram& program(
-      graph::NodeId v) const override;
-
-  [[nodiscard]] const local::NetworkTopology& topology() const override {
-    return topology_;
-  }
-
-  void set_stats_sink(local::RoundStatsSink sink) override {
-    sink_ = std::move(sink);
-  }
-
   [[nodiscard]] std::size_t num_workers() const {
     return partition_.num_workers();
   }
@@ -143,20 +127,16 @@ class DistributedNetwork final : public local::Executor {
   /// flag so every waiter unblocks.
   void poll_children(const std::vector<pid_t>& children);
 
-  local::NetworkTopology topology_;
   DistributedConfig config_;
   Partition partition_;
   HaloTransport transport_;
   SharedRegion control_region_;
   ControlBlock* control_;
-  /// Worker 0's resident programs (size n; null outside worker 0's range).
-  std::vector<std::unique_ptr<local::NodeProgram>> programs_;
   /// Children already reaped by the barrier poll (worker 0 only).
   std::vector<bool> reaped_;
   /// Monotone round tag; never reset across runs (workers start from the
   /// value inherited at fork, so all processes tag identically).
   std::uint64_t epoch_ = 0;
-  local::RoundStatsSink sink_;
 };
 
 }  // namespace ds::dist

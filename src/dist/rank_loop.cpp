@@ -26,31 +26,12 @@ std::size_t run_rank_loop(
   const auto degree = [&](graph::NodeId v) {
     return view.port_offsets[v - view.offset_first + 1] - port_offset(v);
   };
-  // Owned programs live at global indices when the whole range is
-  // constructed, at local indices on the in-situ path (where a vector of n
-  // mostly-null pointers would itself be a full-instance allocation).
-  const auto prog_at = [&](graph::NodeId v) -> local::NodeProgram& {
-    return *programs[view.construct_all ? v : v - first];
-  };
-
+  // Each rank builds only its own range, at local indices.
   programs.clear();
-  if (view.construct_all) {
-    // Every rank invokes the factory for every node in node order — the
-    // exact call sequence of the sequential executor, so factories that
-    // capture mutable state stay deterministic — and keeps the owned range.
-    programs.resize(view.num_nodes);
-    for (graph::NodeId v = 0; v < view.num_nodes; ++v) {
-      auto p = factory(view.env_of(v));
-      DS_CHECK(p != nullptr);
-      if (v >= first && v < last) programs[v] = std::move(p);
-    }
-  } else {
-    programs.resize(last - first);
-    for (graph::NodeId v = first; v < last; ++v) {
-      auto p = factory(view.env_of(v));
-      DS_CHECK(p != nullptr);
-      programs[v - first] = std::move(p);
-    }
+  programs.resize(last - first);
+  for (graph::NodeId v = first; v < last; ++v) {
+    programs[v - first] = factory(view.env_of(v));
+    DS_CHECK(programs[v - first] != nullptr);
   }
 
   // Private round state: single-buffered bank + local span arena (own port
@@ -63,8 +44,8 @@ std::size_t run_rank_loop(
 
   const auto count_alive = [&] {
     std::size_t c = 0;
-    for (graph::NodeId v = first; v < last; ++v) {
-      if (!prog_at(v).done()) ++c;
+    for (const auto& prog : programs) {
+      if (!prog->done()) ++c;
     }
     return c;
   };
@@ -87,7 +68,7 @@ std::size_t run_rank_loop(
     bank.clear();
     local::RoundCounts own;
     for (graph::NodeId v = first; v < last; ++v) {
-      local::NodeProgram& prog = prog_at(v);
+      local::NodeProgram& prog = *programs[v - first];
       if (prog.done()) continue;
       ++own.live_nodes;
       local::Outbox out(&bank, 0, arena.data(),
@@ -119,7 +100,7 @@ std::size_t run_rank_loop(
       fleet = {totals.senders, totals.messages, totals.payload_words};
     }
     for (graph::NodeId v = first; v < last; ++v) {
-      local::NodeProgram& prog = prog_at(v);
+      local::NodeProgram& prog = *programs[v - first];
       if (prog.done()) continue;
       local::Inbox inbox(arena.data() + (port_offset(v) - port_base),
                          degree(v), bases.data(), epoch);
@@ -151,7 +132,7 @@ std::size_t run_rank_loop(
     std::vector<std::uint64_t> row;
     for (graph::NodeId v = first; v < last; ++v) {
       row.clear();
-      output_fn(v, prog_at(v), row);
+      output_fn(v, *programs[v - first], row);
       gathered.push_back(row.size());
       gathered.insert(gathered.end(), row.begin(), row.end());
     }
@@ -165,10 +146,8 @@ std::size_t run_rank_loop(
 
 RankView full_view(const local::NetworkTopology& topo) {
   RankView view;
-  view.num_nodes = topo.graph().num_nodes();
   view.port_offsets = topo.port_offsets().data();
   view.offset_first = 0;
-  view.construct_all = true;
   view.env_of = [&topo](graph::NodeId v) { return topo.make_env(v); };
   return view;
 }

@@ -12,8 +12,8 @@
 /// implement the *same* protocol: the transports only move bytes and
 /// synchronize; every delivery/ordering/liveness rule lives here, once:
 ///
-///   1. invoke the factory for every node in node order (stateful factories
-///      observe the sequential call sequence) and keep the owned range;
+///   1. invoke the factory for the owned range only (the factory contract
+///      of local/program.hpp);
 ///   2. per round: owned live nodes send through the unmodified
 ///      `local::Outbox` (the Partition's delivery table routes cut ports
 ///      into out-halo staging slots) -> `Transport::ship` -> patch +
@@ -51,32 +51,23 @@ namespace ds::dist {
 /// What the round protocol actually needs to know about one rank's share of
 /// the instance — a seam between the loop and the topology representation.
 /// The classic executors view a fully materialized `NetworkTopology`
-/// (`construct_all` true, global port offsets); the in-situ scale path views
-/// only its own node range (`construct_all` false, rank-local offsets), so a
-/// rank never holds the whole graph.
+/// (global port offsets); the in-situ scale path views only its own node
+/// range (rank-local offsets), so a rank never holds the whole graph.
 struct RankView {
-  /// Global node count (the `env.n` every node observes).
-  std::size_t num_nodes = 0;
   /// CSR port offsets indexed by `v - offset_first`; for owned nodes the
   /// difference of adjacent entries is the node's degree and
   /// `port_offsets[v - offset_first] - part.port_base(rank)` is the node's
   /// arena slot.
   const std::size_t* port_offsets = nullptr;
   graph::NodeId offset_first = 0;
-  /// True: invoke the factory for *every* node in node order and keep the
-  /// owned range at global indices (the sequential factory-call contract).
-  /// False: construct only [first, last), stored at local indices — valid
-  /// for pure factories (no cross-node mutable state), which the in-situ
-  /// path requires anyway.
-  bool construct_all = true;
   /// Builds the node environment (uid, degree, neighbor view, forked rng)
-  /// for one owned node; must be defined for every constructed node. The
-  /// environment's views must stay valid for the whole run.
+  /// for one owned node. The environment's views must stay valid for the
+  /// whole run.
   std::function<local::NodeEnv(graph::NodeId)> env_of;
 };
 
-/// The view of a fully materialized topology: every node constructed in
-/// node order, global port offsets. `topo` must outlive the view.
+/// The view of a fully materialized topology (global port offsets). `topo`
+/// must outlive the view.
 RankView full_view(const local::NetworkTopology& topo);
 
 /// Runs rank `transport.rank()`'s full share of one distributed run:
@@ -85,9 +76,8 @@ RankView full_view(const local::NetworkTopology& topo);
 /// caller's monotone round tag, advanced once per round; `sink`, when
 /// non-empty, receives per-round stats from `Transport::round_totals` (only
 /// install it on ranks where the transport aggregates totals). `programs`
-/// is filled with the owned range's instances (size n, null outside the
-/// range, or the owned range at local indices for a rank-local view) and
-/// stays alive for the caller's `program()` accessor. Throws
+/// is filled with the owned range's instances at local indices (node
+/// `first + i` at `i`), for callers that read them after the loop. Throws
 /// ds::CheckError when `max_rounds` is hit with unhalted nodes — the caller
 /// is responsible for turning that into a collective `Transport::abort`.
 /// `recorder`, when non-null, receives this rank's phase spans and round

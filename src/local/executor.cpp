@@ -2,17 +2,18 @@
 
 namespace ds::local {
 
-void Executor::collect_outputs_from_programs() {
+void Executor::collect_outputs_from_programs(
+    const std::vector<std::unique_ptr<NodeProgram>>& programs) {
   if (!output_fn_) {
     outputs_.clear();
     return;
   }
-  const std::size_t n = graph().num_nodes();
+  const std::size_t n = programs.size();
   outputs_.start(n);
   std::vector<std::uint64_t> row;
   for (graph::NodeId v = 0; v < n; ++v) {
     row.clear();
-    output_fn_(v, program(v), row);
+    output_fn_(v, *programs[v], row);
     outputs_.append_row(row.data(), row.size());
   }
 }

@@ -45,9 +45,9 @@ using OutputFn = std::function<void(graph::NodeId, const NodeProgram&,
                                     std::vector<std::uint64_t>&)>;
 
 /// Per-node output rows gathered after a run, CSR-packed (one flat word
-/// vector plus offsets). This — not `Executor::program` — is the
-/// executor-portable way to read results: on the multi-process executor
-/// only the owning worker holds a node's program instance.
+/// vector plus offsets) — the only way to read a run's results: its
+/// programs die when `run()` returns, and on the distributed executors each
+/// lived only in the process that ran its node.
 class OutputTable {
  public:
   /// Starts a fresh table expecting `n` rows appended in node order.
@@ -91,28 +91,28 @@ class OutputTable {
   std::vector<std::size_t> offsets_;
 };
 
-/// A synchronous executor bound to one communication graph.
+/// A synchronous executor bound to one communication graph. The base owns
+/// what every executor shares: the `NetworkTopology` built from
+/// (graph, strategy, seed), the per-round stats sink, the recorder and the
+/// output gather.
 class Executor {
  public:
   virtual ~Executor() = default;
 
   /// Runs one program instance per node for at most `max_rounds` rounds.
   /// Returns the number of executed rounds (also added to `meter` if given).
-  /// Throws if the round limit is hit with unhalted nodes. The program
-  /// instances stay alive inside the executor until the next run (or its
-  /// destruction) so callers can read their outputs via `program`.
+  /// Throws if the round limit is hit with unhalted nodes. The factory
+  /// contract is in local/program.hpp; the programs die when `run()`
+  /// returns, so read results via `set_output_fn` / `outputs()`.
   virtual std::size_t run(const ProgramFactory& factory,
                           std::size_t max_rounds,
                           CostMeter* meter = nullptr) = 0;
 
-  /// The program instance of node `v` from the most recent `run`.
-  [[nodiscard]] virtual const NodeProgram& program(graph::NodeId v) const = 0;
-
   /// The shared topology (graph, UIDs, ports) this executor runs on.
-  [[nodiscard]] virtual const NetworkTopology& topology() const = 0;
+  [[nodiscard]] const NetworkTopology& topology() const { return topology_; }
 
   /// Installs (or clears, with {}) the per-round stats hook for future runs.
-  virtual void set_stats_sink(RoundStatsSink sink) = 0;
+  void set_stats_sink(RoundStatsSink sink) { sink_ = std::move(sink); }
 
   /// Installs (or clears, with nullptr) the observability recorder for
   /// future runs. Not owned; must outlive the runs it observes. When set,
@@ -122,9 +122,9 @@ class Executor {
   [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
 
   /// Installs (or clears, with {}) the per-node output serializer applied
-  /// at the end of future runs; read the result via `outputs()`. This is
-  /// the only result channel that works on every executor — the
-  /// multi-process one runs the serializer inside the owning worker.
+  /// at the end of future runs; read the result via `outputs()`. The
+  /// distributed executors run the serializer in the process that owns
+  /// the node.
   void set_output_fn(OutputFn fn) { output_fn_ = std::move(fn); }
 
   /// The gathered per-node outputs of the most recent run. Throws unless an
@@ -136,20 +136,27 @@ class Executor {
   }
 
   [[nodiscard]] const graph::Graph& graph() const {
-    return topology().graph();
+    return topology_.graph();
   }
   [[nodiscard]] const std::vector<std::uint64_t>& uids() const {
-    return topology().uids();
+    return topology_.uids();
   }
 
  protected:
-  /// Rebuilds `outputs_` by applying the installed OutputFn to every
-  /// program of the most recent run (via the virtual `program()`); clears
-  /// the table when no OutputFn is installed. In-process executors call
-  /// this at the end of run(); the multi-process executor gathers rows from
-  /// its workers instead.
-  void collect_outputs_from_programs();
+  /// Builds the shared topology: IDs per `strategy`, per-node randomness
+  /// derived from `seed`.
+  Executor(const graph::Graph& g, IdStrategy strategy, std::uint64_t seed)
+      : topology_(g, strategy, seed) {}
 
+  /// Rebuilds `outputs_` by applying the installed OutputFn to `programs`,
+  /// the run's program of every node in node order; clears the table when
+  /// no OutputFn is installed. The in-process executors call this at the
+  /// end of run(); the distributed ones gather rows from their ranks.
+  void collect_outputs_from_programs(
+      const std::vector<std::unique_ptr<NodeProgram>>& programs);
+
+  NetworkTopology topology_;
+  RoundStatsSink sink_;
   OutputFn output_fn_;
   OutputTable outputs_;
   obs::Recorder* recorder_ = nullptr;

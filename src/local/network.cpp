@@ -9,7 +9,7 @@ namespace ds::local {
 
 Network::Network(const graph::Graph& g, IdStrategy strategy,
                  std::uint64_t seed)
-    : topology_(g, strategy, seed) {
+    : Executor(g, strategy, seed) {
   spans_.resize(topology_.total_ports());
 }
 
@@ -17,9 +17,7 @@ std::size_t Network::run(const ProgramFactory& factory, std::size_t max_rounds,
                          CostMeter* meter) {
   const graph::Graph& g = topology_.graph();
   const std::size_t n = g.num_nodes();
-  auto& programs = programs_;
-  programs.clear();
-  programs.resize(n);
+  std::vector<std::unique_ptr<NodeProgram>> programs(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     programs[v] = factory(topology_.make_env(v));
     DS_CHECK(programs[v] != nullptr);
@@ -66,15 +64,9 @@ std::size_t Network::run(const ProgramFactory& factory, std::size_t max_rounds,
     ++round;
   }
   clock.finish(round);
-  collect_outputs_from_programs();
+  collect_outputs_from_programs(programs);
   if (meter != nullptr) meter->add_executed(round);
   return round;
-}
-
-const NodeProgram& Network::program(graph::NodeId v) const {
-  DS_CHECK(v < programs_.size());
-  DS_CHECK(programs_[v] != nullptr);
-  return *programs_[v];
 }
 
 std::unique_ptr<Executor> make_executor(const ExecutorFactory& factory,

@@ -49,34 +49,13 @@ class Network final : public Executor {
   std::size_t run(const ProgramFactory& factory, std::size_t max_rounds,
                   CostMeter* meter = nullptr) override;
 
-  [[nodiscard]] const NodeProgram& program(graph::NodeId v) const override;
-
-  [[nodiscard]] const NetworkTopology& topology() const override {
-    return topology_;
-  }
-
-  void set_stats_sink(RoundStatsSink sink) override {
-    sink_ = std::move(sink);
-  }
-
-  /// Port of node `v` on the neighbor at `v`'s port `p` (i.e. the index of v
-  /// in that neighbor's adjacency list). Precomputed for message delivery.
-  [[nodiscard]] std::size_t reverse_port(graph::NodeId v,
-                                         std::size_t p) const {
-    return topology_.reverse_port(v, p);
-  }
-
  private:
-  NetworkTopology topology_;
-  /// Programs of the most recent run, kept alive for output extraction.
-  std::vector<std::unique_ptr<NodeProgram>> programs_;
   /// Single word bank (the whole network is one "shard") + span per port.
   WordBank bank_;
   std::vector<MessageSpan> spans_;
   /// Monotone round tag; never reset, so executor reuse needs no arena
   /// clearing (stale spans can never alias a later round).
   std::uint64_t epoch_ = 0;
-  RoundStatsSink sink_;
 };
 
 }  // namespace ds::local

@@ -73,8 +73,14 @@ class NodeProgram {
 };
 
 /// Factory producing the program for one node given its environment.
-/// Executors invoke the factory sequentially in node order (never
-/// concurrently), so factories may capture mutable per-run state.
+///
+/// Factory contract (every executor): a run calls the factory exactly once
+/// per node, in the process that runs that node — a distributed rank builds
+/// only its own range — and the programs die when `run()` returns, so
+/// `Executor::outputs()` is the only result channel. The factory must be a
+/// pure function of the `NodeEnv` (capture constants by value): the call
+/// order across processes is unspecified, and a factory's mutable state is
+/// copied into each worker process rather than shared.
 using ProgramFactory =
     std::function<std::unique_ptr<NodeProgram>(const NodeEnv&)>;
 

@@ -95,22 +95,19 @@ InsituResult run_body(const algo::Spec& spec, const algo::Params& params,
 
   const dist::Partition part = dist::Partition::rank_local(bounds, rank, csr);
 
-  // --- The unmodified round protocol over a rank-local view. The factory
-  // is constructed for the owned range only (InsituHooks::make_factory is
-  // pure per node), environments mirror NetworkTopology::make_env for the
-  // sequential ID strategy: uid == node, so the environment views the CSR
-  // adjacency row with no UID table (neighbor uid == neighbor id) and
-  // allocates nothing; rng == master.fork(uid). The views borrow `csr`,
+  // --- The unmodified round protocol over a rank-local view. Environments
+  // mirror NetworkTopology::make_env for the sequential ID strategy: uid ==
+  // node, so the environment views the CSR adjacency row with no UID table
+  // (neighbor uid == neighbor id) and allocates nothing; rng ==
+  // master.fork(uid). The views borrow `csr`,
   // which outlives the run and the program extraction below. The output_fn
   // stays empty on purpose — the gather then carries only the observability
   // block, keeping rank 0's footprint rank-local instead of O(n).
   const local::ProgramFactory factory = hooks.make_factory(params, seed);
   const Rng master(seed);
   dist::RankView view;
-  view.num_nodes = n;
   view.port_offsets = csr.offsets.data();
   view.offset_first = first;
-  view.construct_all = false;
   view.env_of = [&](graph::NodeId v) {
     const std::size_t off = csr.offsets[v - first];
     local::NodeEnv env;

@@ -22,7 +22,7 @@ std::size_t checked_ranks(const TcpNetworkConfig& config) {
 
 TcpNetwork::TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
                        std::uint64_t seed, TcpNetworkConfig config)
-    : topology_(g, strategy, seed),
+    : Executor(g, strategy, seed),
       partition_(std::make_shared<const dist::Partition>(
           topology_, checked_ranks(config))),
       owned_fleet_(std::make_unique<Fleet>(
@@ -35,26 +35,19 @@ TcpNetwork::TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
 TcpNetwork::TcpNetwork(const graph::Graph& g, local::IdStrategy strategy,
                        std::uint64_t seed, Fleet& fleet,
                        std::shared_ptr<const dist::Partition> partition)
-    : topology_(g, strategy, seed),
+    : Executor(g, strategy, seed),
       partition_(std::move(partition)),
       fleet_(&fleet) {}
 
 std::size_t TcpNetwork::run(const local::ProgramFactory& factory,
                             std::size_t max_rounds, local::CostMeter* meter) {
+  std::vector<std::unique_ptr<local::NodeProgram>> programs;
   const std::size_t rounds =
       fleet_->run(dist::full_view(topology_), *partition_, factory,
-                  max_rounds, programs_, recorder(), sink_, output_fn_,
+                  max_rounds, programs, recorder(), sink_, output_fn_,
                   &outputs_);
   if (meter != nullptr) meter->add_executed(rounds);
   return rounds;
-}
-
-const local::NodeProgram& TcpNetwork::program(graph::NodeId v) const {
-  DS_CHECK(v < programs_.size());
-  DS_CHECK_MSG(programs_[v] != nullptr,
-               "program(v) is only resident in the owning rank's process; "
-               "use set_output_fn/outputs() for cross-rank results");
-  return *programs_[v];
 }
 
 }  // namespace ds::net

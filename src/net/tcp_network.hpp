@@ -31,8 +31,7 @@
 /// The `set_output_fn`/`outputs()` gather contract streams every rank's
 /// rows to rank 0, which assembles the table and re-broadcasts it — so
 /// `outputs()` returns the full, identical table on *every* rank (SPMD
-/// style: algorithm code needs no rank special-casing). `program(v)` is
-/// resident only for the own range.
+/// style: algorithm code needs no rank special-casing).
 
 #include <cstdint>
 #include <memory>
@@ -83,19 +82,6 @@ class TcpNetwork final : public local::Executor {
                   std::size_t max_rounds,
                   local::CostMeter* meter = nullptr) override;
 
-  /// Only resident for nodes in this rank's range; use `outputs()` (valid
-  /// on every rank) for executor-portable result extraction.
-  [[nodiscard]] const local::NodeProgram& program(
-      graph::NodeId v) const override;
-
-  [[nodiscard]] const local::NetworkTopology& topology() const override {
-    return topology_;
-  }
-
-  void set_stats_sink(local::RoundStatsSink sink) override {
-    sink_ = std::move(sink);
-  }
-
   [[nodiscard]] std::size_t rank() const { return fleet_->rank(); }
   [[nodiscard]] std::size_t num_ranks() const { return fleet_->num_ranks(); }
 
@@ -105,15 +91,11 @@ class TcpNetwork final : public local::Executor {
   }
 
  private:
-  local::NetworkTopology topology_;
   std::shared_ptr<const dist::Partition> partition_;
   /// Set by the one-shot constructor; `fleet_` points at it or at the
   /// borrowed standing fleet.
   std::unique_ptr<Fleet> owned_fleet_;
   Fleet* fleet_ = nullptr;
-  /// This rank's resident programs (size n; null outside the own range).
-  std::vector<std::unique_ptr<local::NodeProgram>> programs_;
-  local::RoundStatsSink sink_;
 };
 
 }  // namespace ds::net

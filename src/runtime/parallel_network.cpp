@@ -17,7 +17,7 @@ std::size_t ParallelNetwork::resolve_threads(std::size_t num_threads) {
 ParallelNetwork::ParallelNetwork(const graph::Graph& g,
                                  local::IdStrategy strategy,
                                  std::uint64_t seed, std::size_t num_threads)
-    : topology_(g, strategy, seed), pool_(resolve_threads(num_threads)) {
+    : Executor(g, strategy, seed), pool_(resolve_threads(num_threads)) {
   const std::size_t n = g.num_nodes();
   // Contiguous shards, a few per thread so the dynamic chunk claiming in the
   // pool evens out residual imbalance without giving up cache locality;
@@ -34,7 +34,9 @@ ParallelNetwork::ParallelNetwork(const graph::Graph& g,
   windows_.resize(num_shards);
 }
 
-void ParallelNetwork::run_epoch_shard(std::size_t s) {
+void ParallelNetwork::run_epoch_shard(
+    std::size_t s,
+    const std::vector<std::unique_ptr<local::NodeProgram>>& programs) {
   const graph::Graph& g = topology_.graph();
   const EpochPlan plan = plan_;
   const graph::NodeId first = bounds_[s];
@@ -65,7 +67,7 @@ void ParallelNetwork::run_epoch_shard(std::size_t s) {
   }
   const std::uint64_t* const* bases = read_bases_.data();
   for (graph::NodeId v = first; v < last; ++v) {
-    local::NodeProgram& prog = *programs_[v];
+    local::NodeProgram& prog = *programs[v];
     // Per node, receive(r-1) strictly precedes send(r) — the same call
     // sequence the sequential executor produces (done() is re-checked in
     // between, exactly like its two phase loops do).
@@ -96,27 +98,24 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
                                  std::size_t max_rounds,
                                  local::CostMeter* meter) {
   const std::size_t n = topology_.graph().num_nodes();
-  programs_.clear();
-  programs_.resize(n);
-  // Program construction is sequential in node order — identical to the
-  // sequential executor, and factories may capture mutable state.
+  std::vector<std::unique_ptr<local::NodeProgram>> programs(n);
   for (graph::NodeId v = 0; v < n; ++v) {
-    programs_[v] = factory(topology_.make_env(v));
-    DS_CHECK(programs_[v] != nullptr);
+    programs[v] = factory(topology_.make_env(v));
+    DS_CHECK(programs[v] != nullptr);
   }
   const std::size_t num_shards = bounds_.size() - 1;
 
   // Both run-scoped callables are constructed once; the per-round hot loop
   // performs no allocation.
-  const std::function<void(std::size_t)> count_fn = [this](std::size_t s) {
+  const std::function<void(std::size_t)> count_fn = [&](std::size_t s) {
     std::size_t c = 0;
     for (graph::NodeId v = bounds_[s]; v < bounds_[s + 1]; ++v) {
-      if (!programs_[v]->done()) ++c;
+      if (!programs[v]->done()) ++c;
     }
     counters_[s].not_done = c;
   };
-  const std::function<void(std::size_t)> epoch_fn = [this](std::size_t s) {
-    run_epoch_shard(s);
+  const std::function<void(std::size_t)> epoch_fn = [&](std::size_t s) {
+    run_epoch_shard(s, programs);
   };
 
   if (recorder() != nullptr) recorder()->set_lane_kind("shard");
@@ -126,7 +125,7 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
   std::size_t alive = 0;
   for (const ShardCounters& c : counters_) alive += c.not_done;
   if (alive == 0) {
-    collect_outputs_from_programs();
+    collect_outputs_from_programs(programs);
     if (meter != nullptr) meter->add_executed(0);
     return 0;
   }
@@ -178,18 +177,12 @@ std::size_t ParallelNetwork::run(const local::ProgramFactory& factory,
       // farewell round too).
       const std::size_t rounds = executed ? r + 1 : r;
       clock.finish(rounds);
-      collect_outputs_from_programs();
+      collect_outputs_from_programs(programs);
       if (meter != nullptr) meter->add_executed(rounds);
       return rounds;
     }
     DS_CHECK_MSG(sending, "ParallelNetwork::run exceeded max_rounds");
   }
-}
-
-const local::NodeProgram& ParallelNetwork::program(graph::NodeId v) const {
-  DS_CHECK(v < programs_.size());
-  DS_CHECK(programs_[v] != nullptr);
-  return *programs_[v];
 }
 
 }  // namespace ds::runtime

@@ -36,8 +36,6 @@
 ///    `NetworkTopology`;
 ///  * each node's randomness is the pure `fork(seed, uid)` — independent of
 ///    scheduling;
-///  * programs are constructed by the factory sequentially in node order
-///    (factories may capture mutable state);
 ///  * message delivery is span-indexed into single-writer slots, and the
 ///    fused epoch's barrier separates round r-1's receives (and round r's
 ///    sends) from round r's receives;
@@ -82,13 +80,6 @@ class ParallelNetwork final : public local::Executor {
                   std::size_t max_rounds,
                   local::CostMeter* meter = nullptr) override;
 
-  [[nodiscard]] const local::NodeProgram& program(
-      graph::NodeId v) const override;
-
-  [[nodiscard]] const local::NetworkTopology& topology() const override {
-    return topology_;
-  }
-
   [[nodiscard]] std::size_t num_threads() const {
     return pool_.num_threads();
   }
@@ -97,10 +88,6 @@ class ParallelNetwork final : public local::Executor {
   /// (0 -> hardware concurrency, minimum 1). Shared with the runtime
   /// selection layer so reported and actual parallelism always agree.
   [[nodiscard]] static std::size_t resolve_threads(std::size_t num_threads);
-
-  void set_stats_sink(local::RoundStatsSink sink) override {
-    sink_ = std::move(sink);
-  }
 
   /// Degree-balanced shard boundaries (size num_shards + 1), for tests and
   /// diagnostics.
@@ -139,10 +126,12 @@ class ParallelNetwork final : public local::Executor {
     std::size_t write_buffer = 0;   ///< word-bank parity of the sends
   };
 
-  /// Runs one fused epoch for shard `s` per the current plan_.
-  void run_epoch_shard(std::size_t s);
+  /// Runs one fused epoch for shard `s` of the run's `programs` per the
+  /// current plan_.
+  void run_epoch_shard(
+      std::size_t s,
+      const std::vector<std::unique_ptr<local::NodeProgram>>& programs);
 
-  local::NetworkTopology topology_;
   ThreadPool pool_;
   /// Contiguous degree-balanced shard boundaries, size num_shards + 1.
   std::vector<graph::NodeId> bounds_;
@@ -157,11 +146,9 @@ class ParallelNetwork final : public local::Executor {
   /// straggler gap between the longest and shortest window is the imbalance
   /// the degree-balanced split is supposed to bound.
   std::vector<local::ShardWindow> windows_;
-  std::vector<std::unique_ptr<local::NodeProgram>> programs_;
   EpochPlan plan_;
   /// Monotone round tag shared by both arenas; never reset across runs.
   std::uint64_t epoch_ = 0;
-  local::RoundStatsSink sink_;
 };
 
 }  // namespace ds::runtime

@@ -96,37 +96,18 @@ RuntimeConfig runtime_from_options(const Options& opts) {
   return config;
 }
 
-local::ExecutorFactory make_executor_factory(const RuntimeConfig& config) {
-  if (config.kind == RuntimeKind::kSequential) return {};
-  return [config](const graph::Graph& g, local::IdStrategy strategy,
-                  std::uint64_t seed) -> std::unique_ptr<local::Executor> {
-    return build_executor(config, g, strategy, seed);
-  };
-}
-
-local::ExecutorFactory make_executor_factory(const RuntimeConfig& config,
-                                             local::RoundStatsSink sink) {
-  if (!sink) return make_executor_factory(config);
-  return [config, sink = std::move(sink)](
-             const graph::Graph& g, local::IdStrategy strategy,
-             std::uint64_t seed) -> std::unique_ptr<local::Executor> {
-    auto exec = build_executor(config, g, strategy, seed);
-    exec->set_stats_sink(sink);
-    return exec;
-  };
-}
-
 local::ExecutorFactory make_executor_factory(const RuntimeConfig& config,
                                              local::RoundStatsSink sink,
                                              obs::Recorder* recorder) {
-  if (recorder == nullptr) {
-    return make_executor_factory(config, std::move(sink));
+  if (config.kind == RuntimeKind::kSequential && !sink &&
+      recorder == nullptr) {
+    return {};
   }
   return [config, sink = std::move(sink), recorder](
              const graph::Graph& g, local::IdStrategy strategy,
              std::uint64_t seed) -> std::unique_ptr<local::Executor> {
     auto exec = build_executor(config, g, strategy, seed);
-    if (sink) exec->set_stats_sink(sink);
+    exec->set_stats_sink(sink);
     exec->set_recorder(recorder);
     return exec;
   };

@@ -62,28 +62,20 @@ inline bool is_sequential(const RuntimeConfig& config) {
 /// an unknown runtime name.
 RuntimeConfig runtime_from_options(const Options& opts);
 
-/// Factory honoring `config`: an empty factory for the sequential runtime
-/// (algorithms then default to `local::Network`), a `ParallelNetwork` or
-/// `DistributedNetwork` factory otherwise.
-local::ExecutorFactory make_executor_factory(const RuntimeConfig& config);
-
-/// Like the above, but every executor the factory creates gets `sink`
-/// installed as its per-round stats hook — for experiment drivers that
-/// print per-round message/byte traces. With a non-empty sink the factory
-/// is always non-empty (the sequential runtime then builds a
-/// sink-instrumented `local::Network`).
+/// Factory honoring `config`: a `ParallelNetwork`, `DistributedNetwork`
+/// or `TcpNetwork` factory, or an empty one for the sequential runtime
+/// (algorithms then default to `local::Network`). Every executor it
+/// creates gets `sink` installed as its per-round stats hook (for
+/// experiment drivers that print per-round message/byte traces) and
+/// `recorder` installed via `local::Executor::set_recorder` — phase
+/// timings, deterministic round counters and transport counters land in
+/// it, fleet-wide on the distributed runtimes. With a sink or a recorder the factory is always
+/// non-empty (the sequential runtime then builds an instrumented
+/// `local::Network`). The recorder must outlive every executor the factory
+/// builds.
 local::ExecutorFactory make_executor_factory(const RuntimeConfig& config,
-                                             local::RoundStatsSink sink);
-
-/// Like the above, but every executor additionally gets `recorder`
-/// installed (see local::Executor::set_recorder) — phase timings,
-/// deterministic round counters and transport counters of the run land in
-/// it, fleet-wide on the distributed runtimes. A null recorder degrades to
-/// the two-argument overload; with a recorder the factory is always
-/// non-empty. The recorder must outlive every executor the factory builds.
-local::ExecutorFactory make_executor_factory(const RuntimeConfig& config,
-                                             local::RoundStatsSink sink,
-                                             obs::Recorder* recorder);
+                                             local::RoundStatsSink sink = {},
+                                             obs::Recorder* recorder = nullptr);
 
 /// Human-readable description of the *requested* config, e.g. "sequential",
 /// "parallel(8 threads)" or "mp(4 workers)". The mp executor additionally

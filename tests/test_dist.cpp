@@ -231,18 +231,39 @@ TEST(DistributedNetwork, HaloOverflowAbortsCleanly) {
   }
 }
 
-TEST(DistributedNetwork, ProgramAccessorIsOwnerLocal) {
-  const auto g = graph::gen::torus(8, 8);
-  DistributedConfig config;
-  config.workers = 2;
-  DistributedNetwork net(g, local::IdStrategy::kSequential, 4, config);
-  net.run(probe_factory(), 100);
-  // Worker 0's own range is resident in the calling process...
-  const graph::NodeId mine = net.partition().first_node(0);
-  EXPECT_NO_THROW((void)net.program(mine));
-  // ...another worker's nodes live in a process that no longer exists.
-  const graph::NodeId theirs = net.partition().first_node(1);
-  EXPECT_THROW((void)net.program(theirs), ds::CheckError);
+// A process-local count of factory calls. Each worker is a forked copy of
+// the calling process, so it counts only the calls made in that worker.
+std::uint64_t g_factory_calls = 0;
+
+// The factory contract of local/program.hpp: a worker builds the programs of
+// its own range and no others.
+TEST(DistributedNetwork, EachWorkerBuildsOnlyItsOwnRange) {
+  const auto g = graph::gen::torus(12, 12);
+  for (const std::size_t workers : {2, 4}) {
+    DistributedConfig config;
+    config.workers = workers;
+    DistributedNetwork net(g, local::IdStrategy::kSequential, 4, config);
+    net.set_output_fn([](graph::NodeId, const local::NodeProgram&,
+                         std::vector<std::uint64_t>& out) {
+      out.push_back(g_factory_calls);
+    });
+    const local::ProgramFactory probes = probe_factory();
+    g_factory_calls = 0;
+    net.run(
+        [&probes](const local::NodeEnv& env) {
+          ++g_factory_calls;
+          return probes(env);
+        },
+        100);
+    const Partition& part = net.partition();
+    ASSERT_EQ(part.num_workers(), workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      for (graph::NodeId v = part.first_node(w); v < part.last_node(w); ++v) {
+        EXPECT_EQ(net.outputs().value(v), part.num_nodes(w))
+            << "workers=" << workers << " worker=" << w << " node=" << v;
+      }
+    }
+  }
 }
 
 TEST(DistributedNetwork, DegenerateInstances) {

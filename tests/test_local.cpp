@@ -117,21 +117,20 @@ TEST(Network, FloodsMaximumUid) {
   Rng rng(6);
   const graph::Graph g = graph::gen::cycle(12);
   Network net(g, IdStrategy::kRandomPermutation, 99);
-  std::vector<MaxFlood*> programs(g.num_nodes(), nullptr);
+  net.set_output_fn([](graph::NodeId, const NodeProgram& p,
+                       std::vector<std::uint64_t>& out) {
+    out.push_back(static_cast<const MaxFlood&>(p).best());
+  });
   CostMeter meter;
   const std::size_t rounds = net.run(
-      [&](const NodeEnv& env) {
-        auto p = std::make_unique<MaxFlood>(env);
-        programs[env.node] = p.get();
-        return p;
-      },
-      100, &meter);
+      [](const NodeEnv& env) { return std::make_unique<MaxFlood>(env); }, 100,
+      &meter);
   EXPECT_GT(rounds, 0u);
   EXPECT_EQ(meter.executed_rounds(), rounds);
   const std::uint64_t expected = g.num_nodes() - 1;
-  for (MaxFlood* p : programs) {
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->best(), expected);
+  ASSERT_EQ(net.outputs().size(), g.num_nodes());
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(net.outputs().value(v), expected);
   }
 }
 

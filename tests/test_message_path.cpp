@@ -203,6 +203,12 @@ class VaryingLengthProgram final : public local::NodeProgram {
 };
 
 void expect_varying_lengths_deliver(local::Executor& exec) {
+  exec.set_output_fn([](graph::NodeId, const local::NodeProgram& p,
+                        std::vector<std::uint64_t>& out) {
+    const auto& prog = static_cast<const VaryingLengthProgram&>(p);
+    out.push_back(prog.validated());
+    out.push_back(prog.empties());
+  });
   exec.run(
       [](const local::NodeEnv& env) {
         return std::make_unique<VaryingLengthProgram>(env);
@@ -213,10 +219,9 @@ void expect_varying_lengths_deliver(local::Executor& exec) {
   std::size_t expected_nonempty = 0;
   const graph::Graph& g = exec.graph();
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto& p =
-        static_cast<const VaryingLengthProgram&>(exec.program(v));
-    validated += p.validated();
-    empties += p.empties();
+    const local::MessageView row = exec.outputs().row(v);
+    validated += row[0];
+    empties += row[1];
     for (std::size_t q = 0; q < g.degree(v); ++q) {
       if ((exec.uids()[v] + q) % 5 != 0) ++expected_nonempty;
     }

@@ -298,29 +298,44 @@ TEST(TcpNetwork, CostMeterAndReuse) {
   EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
 }
 
-TEST(TcpNetwork, ProgramAccessorIsRankLocal) {
-  const auto g = graph::gen::torus(8, 8);
-  const LoopbackReport report = run_loopback_ranks(
-      2, [&](LoopbackRank&& lr) -> int {
-        const std::size_t rank = lr.rank;
-        TcpNetwork net(g, local::IdStrategy::kSequential, 4,
-                       rank_config(std::move(lr)));
-        net.run(probe_factory(), 100);
-        const graph::NodeId mine = net.partition().first_node(rank);
-        const graph::NodeId theirs = net.partition().first_node(1 - rank);
-        try {
-          (void)net.program(mine);
-        } catch (const ds::CheckError&) {
-          return 40;  // own range must be resident
-        }
-        try {
-          (void)net.program(theirs);
-          return 41;  // the peer's range must not be
-        } catch (const ds::CheckError&) {
+// A process-local count of factory calls. Every loopback rank is its own
+// process (rank 0 the calling one), so each counts only its own calls.
+std::uint64_t g_factory_calls = 0;
+
+// The factory contract of local/program.hpp: a rank builds the programs of
+// its own range and no others.
+TEST(TcpNetwork, EachRankBuildsOnlyItsOwnRange) {
+  const auto g = graph::gen::torus(12, 12);
+  for (const std::size_t ranks : {2, 4}) {
+    const LoopbackReport report = run_loopback_ranks(
+        ranks, [&](LoopbackRank&& lr) -> int {
+          TcpNetwork net(g, local::IdStrategy::kSequential, 4,
+                         rank_config(std::move(lr)));
+          net.set_output_fn([](graph::NodeId, const local::NodeProgram&,
+                               std::vector<std::uint64_t>& out) {
+            out.push_back(g_factory_calls);
+          });
+          const local::ProgramFactory probes = probe_factory();
+          g_factory_calls = 0;
+          net.run(
+              [&probes](const local::NodeEnv& env) {
+                ++g_factory_calls;
+                return probes(env);
+              },
+              100);
+          // The re-broadcast table holds every rank's counts on every rank.
+          const dist::Partition& part = net.partition();
+          for (std::size_t r = 0; r < part.num_workers(); ++r) {
+            for (graph::NodeId v = part.first_node(r); v < part.last_node(r);
+                 ++v) {
+              if (net.outputs().value(v) != part.num_nodes(r)) return 40;
+            }
+          }
           return 0;
-        }
-      });
-  EXPECT_TRUE(report.all_ok()) << "rank0=" << report.rank0;
+        });
+    EXPECT_TRUE(report.all_ok())
+        << "ranks=" << ranks << " rank0=" << report.rank0;
+  }
 }
 
 TEST(TcpNetwork, DegenerateInstances) {
