@@ -72,7 +72,7 @@ void BM_PowerColoringB2(benchmark::State& state) {
   const auto b = graph::gen::random_biregular(
       static_cast<std::size_t>(state.range(0)),
       static_cast<std::size_t>(2 * state.range(0)), 16, rng);
-  const auto unified = b.unified();
+  const auto& unified = b.unified();
   Rng id_rng(2);
   const auto ids =
       local::assign_ids(unified, local::IdStrategy::kSequential, id_rng);

@@ -20,9 +20,8 @@ std::shared_ptr<Adjacency> snapshot(const graph::BipartiteGraph& b) {
   auto adj = std::make_shared<Adjacency>();
   adj->cons_vars.resize(b.num_left());
   for (graph::LeftId u = 0; u < b.num_left(); ++u) {
-    for (graph::EdgeId e : b.left_edges(u)) {
-      adj->cons_vars[u].push_back(b.endpoints(e).second);
-    }
+    const auto vars = b.left_neighbors(u);
+    adj->cons_vars[u].assign(vars.begin(), vars.end());
   }
   return adj;
 }
@@ -31,9 +30,8 @@ std::vector<std::vector<std::uint32_t>> var_to_constraints(
     const graph::BipartiteGraph& b) {
   std::vector<std::vector<std::uint32_t>> out(b.num_right());
   for (graph::RightId v = 0; v < b.num_right(); ++v) {
-    for (graph::EdgeId e : b.right_edges(v)) {
-      out[v].push_back(b.endpoints(e).first);
-    }
+    const graph::NeighborView constraints = b.right_neighbors(v);
+    out[v].assign(constraints.begin(), constraints.end());
   }
   return out;
 }

@@ -9,6 +9,7 @@
 /// `degree_balanced_boundaries` rule and report the same `PartitionStats`.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -24,7 +25,7 @@ namespace ds::dist {
 /// boundaries are non-decreasing — every node lands in exactly one shard.
 /// Falls back to node-balanced splitting when the graph has no edges.
 std::vector<graph::NodeId> degree_balanced_boundaries(
-    const std::vector<std::size_t>& port_offsets, std::size_t num_shards);
+    std::span<const std::uint64_t> port_offsets, std::size_t num_shards);
 
 /// Edge-cut statistics of a contiguous node partition, reported by both the
 /// thread-sharded and the multi-process executor.
@@ -42,7 +43,7 @@ struct PartitionStats {
 /// `boundaries` (size parts + 1, as produced by
 /// `degree_balanced_boundaries`).
 PartitionStats partition_stats(const graph::Graph& g,
-                               const std::vector<std::size_t>& port_offsets,
+                               std::span<const std::uint64_t> port_offsets,
                                const std::vector<graph::NodeId>& boundaries);
 
 /// A partition of a `NetworkTopology` into `num_workers` contiguous

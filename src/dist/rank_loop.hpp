@@ -58,7 +58,7 @@ struct RankView {
   /// difference of adjacent entries is the node's degree and
   /// `port_offsets[v - offset_first] - part.port_base(rank)` is the node's
   /// arena slot.
-  const std::size_t* port_offsets = nullptr;
+  const std::uint64_t* port_offsets = nullptr;
   graph::NodeId offset_first = 0;
   /// Builds the node environment (uid, degree, neighbor view, forked rng)
   /// for one owned node. The environment's views must stay valid for the

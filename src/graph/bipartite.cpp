@@ -7,209 +7,186 @@
 
 namespace ds::graph {
 
-BipartiteGraph::BipartiteGraph(std::size_t nu, std::size_t nv)
-    : left_edges_(nu), right_edges_(nv) {}
+namespace {
 
-LeftId BipartiteGraph::add_left_node() {
-  left_edges_.emplace_back();
-  return static_cast<LeftId>(left_edges_.size() - 1);
+/// The unified CSR of an instance given by its (left, right) edge list.
+Graph unify(std::size_t nu, std::size_t nv,
+            const std::vector<std::pair<LeftId, RightId>>& edges) {
+  std::vector<Edge> unified;
+  unified.reserve(edges.size());
+  for (const auto& [u, v] : edges) {
+    DS_CHECK(u < nu && v < nv);
+    unified.push_back({u, static_cast<NodeId>(nu + v)});
+  }
+  return Graph(nu + nv, std::move(unified));
 }
 
-RightId BipartiteGraph::add_right_node() {
-  right_edges_.emplace_back();
-  return static_cast<RightId>(right_edges_.size() - 1);
-}
+}  // namespace
 
-EdgeId BipartiteGraph::add_edge(LeftId u, RightId v) {
-  DS_CHECK(u < left_edges_.size() && v < right_edges_.size());
-  DS_CHECK_MSG(!has_edge(u, v), "parallel edges not allowed in BipartiteGraph");
-  const EdgeId e = static_cast<EdgeId>(edges_.size());
-  edges_.emplace_back(u, v);
-  left_edges_[u].push_back(e);
-  right_edges_[v].push_back(e);
-  return e;
+BipartiteGraph::BipartiteGraph(
+    std::size_t nu, std::size_t nv,
+    const std::vector<std::pair<LeftId, RightId>>& edges)
+    : BipartiteGraph(unify(nu, nv, edges), nu) {}
+
+BipartiteGraph::BipartiteGraph(Graph unified, std::size_t nu)
+    : unified_(std::move(unified)), nu_(nu) {
+  // The CSR's rows are in edge order, so walking the edge list with one
+  // cursor per node meets every port exactly once. The walk checks each
+  // cursor against its row end and each port against the stored row, so a
+  // mapped image whose rows disagree with its edge list is rejected here.
+  const std::span<const std::uint64_t> offsets = unified_.offsets();
+  const std::size_t n = unified_.num_nodes();
+  std::vector<std::uint64_t> cursor(n);
+  for (std::size_t x = 0; x < n; ++x) {
+    DS_CHECK_MSG(offsets[x] <= offsets[x + 1], "CSR offsets decrease");
+    cursor[x] = offsets[x];
+  }
+  port_edge_.resize(2 * unified_.num_edges());
+  auto name_port = [&](NodeId x, NodeId other, EdgeId e) {
+    const std::uint64_t slot = cursor[x]++;
+    DS_CHECK_MSG(slot < offsets[x + 1] &&
+                     unified_.neighbors(x)[slot - offsets[x]] == other,
+                 "CSR rows are not in edge order");
+    port_edge_[slot] = e;
+  };
+  const EdgeView edges = unified_.edges();
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    name_port(edges[e].u, edges[e].v, e);
+    name_port(edges[e].v, edges[e].u, e);
+  }
 }
 
 std::pair<LeftId, RightId> BipartiteGraph::endpoints(EdgeId e) const {
-  DS_CHECK(e < edges_.size());
-  return edges_[e];
+  DS_CHECK(e < num_edges());
+  const Edge& x = unified_.edges()[e];
+  return {x.u, static_cast<RightId>(x.v - nu_)};
 }
 
-const std::vector<EdgeId>& BipartiteGraph::left_edges(LeftId u) const {
-  DS_CHECK(u < left_edges_.size());
-  return left_edges_[u];
+std::span<const EdgeId> BipartiteGraph::left_edges(LeftId u) const {
+  DS_CHECK(u < nu_);
+  return {port_edge_.data() + unified_.offsets()[u], unified_.degree(u)};
 }
 
-const std::vector<EdgeId>& BipartiteGraph::right_edges(RightId v) const {
-  DS_CHECK(v < right_edges_.size());
-  return right_edges_[v];
+std::span<const EdgeId> BipartiteGraph::right_edges(RightId v) const {
+  DS_CHECK(v < num_right());
+  const NodeId x = unified_right(v);
+  return {port_edge_.data() + unified_.offsets()[x], unified_.degree(x)};
 }
 
-std::vector<RightId> BipartiteGraph::left_neighbors(LeftId u) const {
-  std::vector<RightId> out;
-  out.reserve(left_edges(u).size());
-  for (EdgeId e : left_edges(u)) out.push_back(edges_[e].second);
-  return out;
+RightNeighborView BipartiteGraph::left_neighbors(LeftId u) const {
+  DS_CHECK(u < nu_);
+  return RightNeighborView(unified_.neighbors(u), ToRightId{nu_});
 }
 
-std::vector<LeftId> BipartiteGraph::right_neighbors(RightId v) const {
-  std::vector<LeftId> out;
-  out.reserve(right_edges(v).size());
-  for (EdgeId e : right_edges(v)) out.push_back(edges_[e].first);
-  return out;
+NeighborView BipartiteGraph::right_neighbors(RightId v) const {
+  DS_CHECK(v < num_right());
+  return unified_.neighbors(unified_right(v));
 }
 
 std::size_t BipartiteGraph::left_degree(LeftId u) const {
-  return left_edges(u).size();
+  DS_CHECK(u < nu_);
+  return unified_.degree(u);
 }
 
 std::size_t BipartiteGraph::right_degree(RightId v) const {
-  return right_edges(v).size();
+  DS_CHECK(v < num_right());
+  return unified_.degree(unified_right(v));
 }
 
 std::size_t BipartiteGraph::min_left_degree() const {
-  if (left_edges_.empty()) return 0;
-  std::size_t d = left_edges_.front().size();
-  for (const auto& a : left_edges_) d = std::min(d, a.size());
+  if (nu_ == 0) return 0;
+  std::size_t d = left_degree(0);
+  for (LeftId u = 1; u < nu_; ++u) d = std::min(d, left_degree(u));
   return d;
 }
 
 std::size_t BipartiteGraph::max_left_degree() const {
   std::size_t d = 0;
-  for (const auto& a : left_edges_) d = std::max(d, a.size());
+  for (LeftId u = 0; u < nu_; ++u) d = std::max(d, left_degree(u));
   return d;
 }
 
 std::size_t BipartiteGraph::rank() const {
   std::size_t d = 0;
-  for (const auto& a : right_edges_) d = std::max(d, a.size());
+  for (RightId v = 0; v < num_right(); ++v) d = std::max(d, right_degree(v));
   return d;
 }
 
 std::size_t BipartiteGraph::min_right_degree() const {
-  if (right_edges_.empty()) return 0;
-  std::size_t d = right_edges_.front().size();
-  for (const auto& a : right_edges_) d = std::min(d, a.size());
+  if (num_right() == 0) return 0;
+  std::size_t d = right_degree(0);
+  for (RightId v = 1; v < num_right(); ++v) d = std::min(d, right_degree(v));
   return d;
 }
 
 bool BipartiteGraph::has_edge(LeftId u, RightId v) const {
-  DS_CHECK(u < left_edges_.size() && v < right_edges_.size());
-  if (left_edges_[u].size() <= right_edges_[v].size()) {
-    for (EdgeId e : left_edges_[u]) {
-      if (edges_[e].second == v) return true;
-    }
-  } else {
-    for (EdgeId e : right_edges_[v]) {
-      if (edges_[e].first == u) return true;
-    }
-  }
-  return false;
+  DS_CHECK(u < nu_ && v < num_right());
+  return unified_.has_edge(u, unified_right(v));
 }
 
 std::pair<BipartiteGraph, std::vector<EdgeId>> BipartiteGraph::filter_edges(
     const std::vector<bool>& keep) const {
-  DS_CHECK(keep.size() == edges_.size());
-  BipartiteGraph out(num_left(), num_right());
+  DS_CHECK(keep.size() == num_edges());
+  std::vector<std::pair<LeftId, RightId>> kept;
   std::vector<EdgeId> new_to_old;
-  for (EdgeId e = 0; e < edges_.size(); ++e) {
+  for (EdgeId e = 0; e < num_edges(); ++e) {
     if (keep[e]) {
-      out.add_edge(edges_[e].first, edges_[e].second);
+      kept.push_back(endpoints(e));
       new_to_old.push_back(e);
     }
   }
-  return {std::move(out), std::move(new_to_old)};
-}
-
-Graph BipartiteGraph::unified() const {
-  Graph g(num_nodes());
-  for (const auto& [u, v] : edges_) {
-    g.add_edge(unified_left(u), unified_right(v));
-  }
-  return g;
+  return {BipartiteGraph(num_left(), num_right(), kept),
+          std::move(new_to_old)};
 }
 
 std::vector<BipartiteComponent> connected_components(const BipartiteGraph& b,
                                                      bool keep_isolated) {
   const std::size_t nu = b.num_left();
   const std::size_t nv = b.num_right();
+  const Graph& g = b.unified();
   constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> comp_left(nu, kUnvisited);
-  std::vector<std::uint32_t> comp_right(nv, kUnvisited);
+  // Component of every unified vertex: left u at u, right v at nu + v.
+  std::vector<std::uint32_t> comp(nu + nv, kUnvisited);
   std::uint32_t num_components = 0;
-
-  // BFS over the unified node set; (side, index) pairs on the queue.
-  struct Item {
-    bool is_left;
-    std::uint32_t idx;
-  };
-  for (std::uint32_t start = 0; start < nu + nv; ++start) {
-    const bool start_left = start < nu;
-    const std::uint32_t start_idx = start_left ? start : start - nu;
-    auto& comp_of_start = start_left ? comp_left[start_idx]
-                                     : comp_right[start_idx];
-    if (comp_of_start != kUnvisited) continue;
-    const bool isolated = start_left ? b.left_degree(start_idx) == 0
-                                     : b.right_degree(start_idx) == 0;
-    if (isolated && !keep_isolated) continue;
+  for (NodeId start = 0; start < nu + nv; ++start) {
+    if (comp[start] != kUnvisited) continue;
+    if (g.degree(start) == 0 && !keep_isolated) continue;
     const std::uint32_t c = num_components++;
-    comp_of_start = c;
-    std::queue<Item> queue;
-    queue.push({start_left, start_idx});
+    comp[start] = c;
+    std::queue<NodeId> queue;
+    queue.push(start);
     while (!queue.empty()) {
-      const Item item = queue.front();
+      const NodeId x = queue.front();
       queue.pop();
-      if (item.is_left) {
-        for (EdgeId e : b.left_edges(item.idx)) {
-          const RightId w = b.endpoints(e).second;
-          if (comp_right[w] == kUnvisited) {
-            comp_right[w] = c;
-            queue.push({false, w});
-          }
-        }
-      } else {
-        for (EdgeId e : b.right_edges(item.idx)) {
-          const LeftId w = b.endpoints(e).first;
-          if (comp_left[w] == kUnvisited) {
-            comp_left[w] = c;
-            queue.push({true, w});
-          }
+      for (const NodeId w : g.neighbors(x)) {
+        if (comp[w] == kUnvisited) {
+          comp[w] = c;
+          queue.push(w);
         }
       }
     }
   }
 
   std::vector<BipartiteComponent> components(num_components);
-  std::vector<std::vector<LeftId>> left_members(num_components);
-  std::vector<std::vector<RightId>> right_members(num_components);
   // local index of each parent node inside its component
-  std::vector<std::uint32_t> local_left(nu, kUnvisited);
-  std::vector<std::uint32_t> local_right(nv, kUnvisited);
-  for (LeftId u = 0; u < nu; ++u) {
-    if (comp_left[u] != kUnvisited) {
-      local_left[u] = static_cast<std::uint32_t>(
-          left_members[comp_left[u]].size());
-      left_members[comp_left[u]].push_back(u);
-    }
+  std::vector<std::uint32_t> local(nu + nv, kUnvisited);
+  for (NodeId x = 0; x < nu + nv; ++x) {
+    if (comp[x] == kUnvisited) continue;
+    auto& members = x < nu ? components[comp[x]].left_to_parent
+                           : components[comp[x]].right_to_parent;
+    local[x] = static_cast<std::uint32_t>(members.size());
+    members.push_back(x < nu ? x : static_cast<RightId>(x - nu));
   }
-  for (RightId v = 0; v < nv; ++v) {
-    if (comp_right[v] != kUnvisited) {
-      local_right[v] = static_cast<std::uint32_t>(
-          right_members[comp_right[v]].size());
-      right_members[comp_right[v]].push_back(v);
-    }
+  std::vector<std::vector<std::pair<LeftId, RightId>>> edges(num_components);
+  for (const Edge& e : g.edges()) {
+    const std::uint32_t c = comp[e.u];
+    DS_CHECK(c == comp[e.v]);
+    edges[c].emplace_back(local[e.u], local[e.v]);
   }
   for (std::uint32_t c = 0; c < num_components; ++c) {
     components[c].graph =
-        BipartiteGraph(left_members[c].size(), right_members[c].size());
-    components[c].left_to_parent = left_members[c];
-    components[c].right_to_parent = right_members[c];
-  }
-  for (EdgeId e = 0; e < b.num_edges(); ++e) {
-    const auto [u, v] = b.endpoints(e);
-    const std::uint32_t c = comp_left[u];
-    DS_CHECK(c == comp_right[v]);
-    components[c].graph.add_edge(local_left[u], local_right[v]);
+        BipartiteGraph(components[c].left_to_parent.size(),
+                       components[c].right_to_parent.size(), edges[c]);
   }
   return components;
 }

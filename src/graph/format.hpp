@@ -22,14 +22,22 @@
 ///     ...     8m          flat adjacency rows, 2m × uint32
 ///     ...     8m          edge list, m × {uint32 u, uint32 v} (u <= v)
 ///
+/// The three sections are exactly the `Graph` CSR (graph.hpp): the loaded
+/// graph *is* the mapping, with no copy. Rows are in edge order (port p of
+/// v is v's p-th edge in the edge list), so node ports and edge ids survive
+/// a pack/load round trip and every digest computed on the loaded graph
+/// equals the one on the graph that was packed.
+///
 /// Every section is 8-byte aligned by construction (the adjacency section is
-/// 2m × 4 bytes = 8m). The loader validates magic/version/endian/sizes in
-/// O(1); the payload digest is verified only on request (it reads the whole
-/// file, which the O(1) scale path must not).
+/// 2m × 4 bytes = 8m). The loader validates magic/version/endian/sizes and
+/// offsets[n] == 2m in O(1); the rows are bounds-checked where a run first
+/// walks them (`local::NetworkTopology`, `bipartite_from_unified`). The
+/// payload digest is verified only on request (it reads the whole file,
+/// which the O(1) scale path must not).
 ///
 /// A bipartite instance is stored as its unified general graph (left nodes
 /// 0..nu-1, right nodes nu..n-1) with the `nu` header field set;
-/// `bipartite_from_unified` reconstructs the `BipartiteGraph`.
+/// `bipartite_from_unified` adopts that CSR as the `BipartiteGraph`.
 
 #include <cstdint>
 #include <stdexcept>
@@ -67,17 +75,19 @@ struct DsgHeader {
 void write_dsg(const Graph& g, const std::string& path, std::uint64_t nu = 0,
                std::uint64_t seed = 0);
 
-/// Memory-maps `path` and returns a read-only mapped-mode Graph viewing it.
+/// Memory-maps `path` and returns the Graph whose CSR is that mapping.
 /// O(1) apart from header/size validation; with `verify_digest` the payload
 /// digest is recomputed and checked (reads the whole file once). Fills
 /// `*header` when non-null. Throws FormatError on any format violation.
 Graph load_dsg(const std::string& path, DsgHeader* header = nullptr,
                bool verify_digest = false);
 
-/// Reconstructs the bipartite instance a unified general graph encodes:
-/// left nodes 0..nu-1, right nodes nu..n-1, edges in stored order (so edge
-/// ids are stable across pack/load round trips). Throws FormatError if any
-/// edge fails to cross the (left, right) divide.
+/// The bipartite instance a unified general graph encodes: left nodes
+/// 0..nu-1, right nodes nu..n-1, edge e of B = edge e of `g` (so edge ids
+/// are stable across pack/load round trips). Shares `g`'s CSR and adds only
+/// the port -> edge id array. Throws FormatError if any edge fails to cross
+/// the (left, right) divide or names a node >= n, and CheckError if the
+/// rows are not in edge order.
 BipartiteGraph bipartite_from_unified(const Graph& g, std::size_t nu);
 
 }  // namespace ds::graph

@@ -6,7 +6,58 @@
 
 namespace ds::graph {
 
-Graph::Graph(std::size_t n) : adjacency_(n) {}
+namespace {
+
+/// The storage a Graph built from an edge list owns.
+struct OwnedCsr {
+  std::vector<std::uint64_t> offsets;
+  std::vector<NodeId> adjacency;
+  std::vector<Edge> edges;
+};
+
+}  // namespace
+
+Graph::Graph(std::size_t n, std::vector<Edge> edges)
+    : n_(n), m_(edges.size()) {
+  DS_CHECK_MSG(n <= static_cast<std::size_t>(NodeId(-1)),
+               "node count exceeds the 32-bit NodeId space");
+  auto csr = std::make_shared<OwnedCsr>();
+  std::vector<std::uint64_t>& offsets = csr->offsets;
+  offsets.assign(n + 1, 0);
+  for (Edge& e : edges) {
+    DS_CHECK_MSG(e.u != e.v, "self-loops are not allowed in Graph");
+    DS_CHECK(e.u < n && e.v < n);
+    if (e.u > e.v) std::swap(e.u, e.v);
+    ++offsets[e.u + 1];
+    ++offsets[e.v + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+
+  // Counting pass in edge order: port p of v is v's p-th edge.
+  csr->adjacency.resize(2 * m_);
+  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const Edge& e : edges) {
+    csr->adjacency[cursor[e.u]++] = e.v;
+    csr->adjacency[cursor[e.v]++] = e.u;
+  }
+
+  // One stamp pass finds parallel edges: seen[w] == v iff w already
+  // appeared in row v.
+  std::vector<NodeId> seen(n, NodeId(-1));
+  for (NodeId v = 0; v < n; ++v) {
+    for (std::uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const NodeId w = csr->adjacency[i];
+      DS_CHECK_MSG(seen[w] != v, "parallel edges are not allowed in Graph");
+      seen[w] = v;
+    }
+  }
+
+  csr->edges = std::move(edges);
+  offsets_ = csr->offsets.data();
+  adjacency_ = csr->adjacency.data();
+  edges_ = csr->edges.data();
+  keepalive_ = std::move(csr);
+}
 
 Graph Graph::mapped(std::shared_ptr<const void> keepalive,
                     const std::uint64_t* offsets, const NodeId* adjacency,
@@ -17,30 +68,13 @@ Graph Graph::mapped(std::shared_ptr<const void> keepalive,
   DS_CHECK_MSG(offsets[n] == 2 * static_cast<std::uint64_t>(m),
                "mapped CSR offsets do not sum to 2m directed ports");
   Graph g;
-  g.map_.keepalive = std::move(keepalive);
-  g.map_.offsets = offsets;
-  g.map_.adjacency = adjacency;
-  g.map_.edges = edges;
-  g.map_.n = n;
-  g.map_.m = m;
+  g.keepalive_ = std::move(keepalive);
+  g.offsets_ = offsets;
+  g.adjacency_ = adjacency;
+  g.edges_ = edges;
+  g.n_ = n;
+  g.m_ = m;
   return g;
-}
-
-NodeId Graph::add_node() {
-  DS_CHECK_MSG(!is_mapped(), "mapped graphs are immutable");
-  adjacency_.emplace_back();
-  return static_cast<NodeId>(adjacency_.size() - 1);
-}
-
-void Graph::add_edge(NodeId u, NodeId v) {
-  DS_CHECK_MSG(!is_mapped(), "mapped graphs are immutable");
-  DS_CHECK_MSG(u != v, "self-loops are not allowed in Graph");
-  DS_CHECK(u < adjacency_.size() && v < adjacency_.size());
-  DS_CHECK_MSG(!has_edge(u, v), "parallel edges are not allowed in Graph");
-  if (u > v) std::swap(u, v);
-  adjacency_[u].push_back(v);
-  adjacency_[v].push_back(u);
-  edges_.push_back(Edge{u, v});
 }
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
@@ -52,20 +86,13 @@ bool Graph::has_edge(NodeId u, NodeId v) const {
 
 NeighborView Graph::neighbors(NodeId v) const {
   DS_CHECK(v < num_nodes());
-  if (is_mapped()) {
-    const std::uint64_t start = map_.offsets[v];
-    return {map_.adjacency + start,
-            static_cast<std::size_t>(map_.offsets[v + 1] - start)};
-  }
-  return {adjacency_[v].data(), adjacency_[v].size()};
+  return {adjacency_ + offsets_[v],
+          static_cast<std::size_t>(offsets_[v + 1] - offsets_[v])};
 }
 
 std::size_t Graph::degree(NodeId v) const {
   DS_CHECK(v < num_nodes());
-  if (is_mapped()) {
-    return static_cast<std::size_t>(map_.offsets[v + 1] - map_.offsets[v]);
-  }
-  return adjacency_[v].size();
+  return static_cast<std::size_t>(offsets_[v + 1] - offsets_[v]);
 }
 
 std::size_t Graph::max_degree() const {
@@ -94,15 +121,15 @@ std::pair<Graph, std::vector<NodeId>> Graph::induced_subgraph(
     old_to_new[v] = static_cast<NodeId>(new_to_old.size());
     new_to_old.push_back(v);
   }
-  Graph sub(new_to_old.size());
+  std::vector<Edge> kept;
   for (const Edge& e : edges()) {
     const NodeId nu = old_to_new[e.u];
     const NodeId nv = old_to_new[e.v];
     if (nu != static_cast<NodeId>(-1) && nv != static_cast<NodeId>(-1)) {
-      sub.add_edge(nu, nv);
+      kept.push_back({nu, nv});
     }
   }
-  return {std::move(sub), std::move(new_to_old)};
+  return {Graph(new_to_old.size(), std::move(kept)), std::move(new_to_old)};
 }
 
 }  // namespace ds::graph

@@ -5,21 +5,21 @@
 /// problem instance for the general-graph problems (splitting, coloring,
 /// MIS, sinkless orientation).
 ///
-/// A Graph is in one of two storage modes:
+/// A Graph is one immutable CSR: n + 1 row offsets, the 2m flattened
+/// adjacency rows and the m-entry edge list, behind one shared keepalive
+/// that is either an owned buffer (built once from an edge list) or the
+/// mmapped `.dsg` image (graph/format.hpp adopts it via `mapped`). Copies
+/// share the storage, so copying a Graph is O(1) and a multi-gigabyte
+/// mapped instance is shared read-only across forked worker processes.
 ///
-///  * **owned** — the historical mutable representation: per-node adjacency
-///    vectors plus the edge list, grown by `add_node`/`add_edge`;
-///  * **mapped** — a read-only view over an externally owned CSR image (the
-///    `.dsg` loader in graph/format.hpp mmaps the file and adopts it here),
-///    so a multi-gigabyte instance costs O(1) to open and its pages are
-///    shared read-only across forked worker processes.
-///
-/// Both modes serve the same accessors; `neighbors()`/`edges()` return
-/// lightweight views (`NeighborView`/`EdgeView`) valid for the Graph's
-/// lifetime. Mutation is owned-mode only.
+/// Port invariant: rows are filled in edge order, so port p of node v (the
+/// p-th entry of `neighbors(v)`) is v's p-th incident edge in `edges()`.
+/// Port numbering, and with it every executor's output digest, depends only
+/// on the edge list; the `.dsg` writer stores the rows exactly as built.
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -38,82 +38,40 @@ struct Edge {
 };
 static_assert(sizeof(Edge) == 8, "Edge layout is part of the .dsg format");
 
-/// Read-only view over one node's adjacency row (contiguous NodeId run).
-/// Returned by value; the pointed-to storage lives as long as the Graph.
-class NeighborView {
- public:
-  NeighborView() = default;
-  NeighborView(const NodeId* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  [[nodiscard]] const NodeId* begin() const { return data_; }
-  [[nodiscard]] const NodeId* end() const { return data_ + size_; }
-  [[nodiscard]] const NodeId* data() const { return data_; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  NodeId operator[](std::size_t i) const { return data_[i]; }
-
- private:
-  const NodeId* data_ = nullptr;
-  std::size_t size_ = 0;
-};
-
-/// Read-only view over the edge list (insertion order).
-class EdgeView {
- public:
-  EdgeView() = default;
-  EdgeView(const Edge* data, std::size_t size) : data_(data), size_(size) {}
-
-  [[nodiscard]] const Edge* begin() const { return data_; }
-  [[nodiscard]] const Edge* end() const { return data_ + size_; }
-  [[nodiscard]] const Edge* data() const { return data_; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  const Edge& operator[](std::size_t i) const { return data_[i]; }
-
- private:
-  const Edge* data_ = nullptr;
-  std::size_t size_ = 0;
-};
+/// One node's adjacency row, valid as long as any Graph sharing its storage.
+using NeighborView = std::span<const NodeId>;
+/// The edge list in edge-id order.
+using EdgeView = std::span<const Edge>;
 
 /// Undirected simple graph (no self-loops, no parallel edges). Nodes are
 /// dense indices; unique LOCAL-model IDs are assigned separately (see
 /// local/ids.hpp) so experiments can control ID adversaries.
 class Graph {
  public:
-  /// Creates an owned-mode graph with `n` isolated nodes.
-  explicit Graph(std::size_t n = 0);
+  /// The empty graph (no nodes).
+  Graph() = default;
 
-  /// Adopts an externally owned CSR image as a read-only mapped graph.
-  /// `offsets` has n + 1 entries with offsets[n] == 2m, `adjacency` the 2m
-  /// flattened rows, `edges` the m edges in insertion order; `keepalive`
-  /// owns the backing memory (typically the mmap region) and is held for
-  /// the graph's lifetime.
+  /// Builds the CSR of the graph on `n` nodes whose edge i is `edges[i]`
+  /// (stored as (min, max)). Throws CheckError on a self-loop, an endpoint
+  /// >= n or a parallel edge. O(n + m); `edges` is adopted, not copied.
+  explicit Graph(std::size_t n, std::vector<Edge> edges = {});
+
+  /// Adopts an externally owned CSR image as the graph's storage. `offsets`
+  /// has n + 1 entries with offsets[n] == 2m, `adjacency` the 2m flattened
+  /// rows, `edges` the m edges; `keepalive` owns the backing memory
+  /// (typically the mmap region). Only offsets[n] is validated here: the
+  /// rows are checked where a run first walks them (local/topology.cpp).
   static Graph mapped(std::shared_ptr<const void> keepalive,
                       const std::uint64_t* offsets, const NodeId* adjacency,
                       const Edge* edges, std::size_t n, std::size_t m);
 
-  /// True when this graph views a mapped CSR image (immutable).
-  [[nodiscard]] bool is_mapped() const { return map_.keepalive != nullptr; }
-
-  /// Adds an isolated node and returns its id. Owned mode only.
-  NodeId add_node();
-
-  /// Adds the undirected edge {u, v}. Requires u != v, both in range, and
-  /// that the edge is not already present. Owned mode only.
-  void add_edge(NodeId u, NodeId v);
-
   /// True if {u, v} is an edge. O(min degree).
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
-  [[nodiscard]] std::size_t num_nodes() const {
-    return is_mapped() ? map_.n : adjacency_.size();
-  }
-  [[nodiscard]] std::size_t num_edges() const {
-    return is_mapped() ? map_.m : edges_.size();
-  }
+  [[nodiscard]] std::size_t num_nodes() const { return n_; }
+  [[nodiscard]] std::size_t num_edges() const { return m_; }
 
-  /// Neighbors of `v` in insertion order.
+  /// Neighbors of `v` in port (edge) order.
   [[nodiscard]] NeighborView neighbors(NodeId v) const;
 
   [[nodiscard]] std::size_t degree(NodeId v) const;
@@ -124,10 +82,13 @@ class Graph {
   /// Minimum degree δ; 0 for the empty graph.
   [[nodiscard]] std::size_t min_degree() const;
 
-  /// All edges, in insertion order.
-  [[nodiscard]] EdgeView edges() const {
-    return is_mapped() ? EdgeView(map_.edges, map_.m)
-                       : EdgeView(edges_.data(), edges_.size());
+  /// All edges, in edge-id order.
+  [[nodiscard]] EdgeView edges() const { return {edges_, m_}; }
+
+  /// The CSR row offsets (n + 1 entries, offsets()[n] == 2m): node v's
+  /// ports are the flat slots [offsets()[v], offsets()[v + 1]).
+  [[nodiscard]] std::span<const std::uint64_t> offsets() const {
+    return {offsets_, n_ + 1};
   }
 
   /// Returns the subgraph induced by `nodes`, together with the mapping from
@@ -136,19 +97,14 @@ class Graph {
       const std::vector<NodeId>& nodes) const;
 
  private:
-  /// Mapped-mode state; keepalive non-null iff mapped.
-  struct MappedCsr {
-    std::shared_ptr<const void> keepalive;
-    const std::uint64_t* offsets = nullptr;  ///< n + 1 entries
-    const NodeId* adjacency = nullptr;       ///< 2m entries
-    const Edge* edges = nullptr;             ///< m entries
-    std::size_t n = 0;
-    std::size_t m = 0;
-  };
+  static constexpr std::uint64_t kNoRows[1] = {0};
 
-  std::vector<std::vector<NodeId>> adjacency_;
-  std::vector<Edge> edges_;
-  MappedCsr map_;
+  std::shared_ptr<const void> keepalive_;
+  const std::uint64_t* offsets_ = kNoRows;
+  const NodeId* adjacency_ = nullptr;
+  const Edge* edges_ = nullptr;
+  std::size_t n_ = 0;
+  std::size_t m_ = 0;
 };
 
 }  // namespace ds::graph

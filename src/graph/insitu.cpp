@@ -480,12 +480,9 @@ std::vector<Edge> DistributedGenerator::shard(NodeId first, NodeId last) const {
 }
 
 Graph DistributedGenerator::generate_full() const {
-  const std::vector<Edge> edges = shard(0, static_cast<NodeId>(n_));
-  Graph g(n_);
-  // Lexicographic insertion order makes every adjacency row ascending — the
+  // Lexicographic edge order makes every adjacency row ascending — the
   // canonical layout the rank-local path reproduces and binary-searches.
-  for (const Edge& e : edges) g.add_edge(e.u, e.v);
-  return g;
+  return Graph(n_, shard(0, static_cast<NodeId>(n_)));
 }
 
 const std::vector<std::string>& DistributedGenerator::families() {

@@ -61,7 +61,7 @@ struct GenSpec {
 struct LocalCsr {
   NodeId first = 0;
   NodeId last = 0;
-  std::vector<std::size_t> offsets;  ///< last - first + 1 entries
+  std::vector<std::uint64_t> offsets;  ///< last - first + 1 entries
   std::vector<NodeId> adjacency;     ///< flat rows, each ascending
 };
 
@@ -92,8 +92,8 @@ class DistributedGenerator {
   /// two disciplines), sorted lexicographically, u < v, no duplicates.
   [[nodiscard]] std::vector<Edge> shard(NodeId first, NodeId last) const;
 
-  /// Sequential reference: the full instance as an owned-mode Graph with
-  /// canonically sorted adjacency rows. Materializes everything — use only
+  /// Sequential reference: the full instance as one Graph built from the
+  /// sorted edge list, so every adjacency row is ascending. Materializes everything — use only
   /// for control instances and baseline comparisons.
   [[nodiscard]] Graph generate_full() const;
 

@@ -19,14 +19,14 @@ Graph read_edge_list(std::istream& is) {
   std::size_t n = 0;
   std::size_t m = 0;
   DS_CHECK_MSG(static_cast<bool>(is >> n >> m), "malformed edge list header");
-  Graph g(n);
+  std::vector<Edge> edges;
   for (std::size_t i = 0; i < m; ++i) {
-    NodeId u = 0;
-    NodeId v = 0;
-    DS_CHECK_MSG(static_cast<bool>(is >> u >> v), "malformed edge list line");
-    g.add_edge(u, v);
+    Edge e{};
+    DS_CHECK_MSG(static_cast<bool>(is >> e.u >> e.v),
+                 "malformed edge list line");
+    edges.push_back(e);
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 void write_bipartite(std::ostream& os, const BipartiteGraph& b) {
@@ -43,14 +43,14 @@ BipartiteGraph read_bipartite(std::istream& is) {
   std::size_t m = 0;
   DS_CHECK_MSG(static_cast<bool>(is >> nu >> nv >> m),
                "malformed bipartite header");
-  BipartiteGraph b(nu, nv);
+  std::vector<std::pair<LeftId, RightId>> edges;
   for (std::size_t i = 0; i < m; ++i) {
     LeftId u = 0;
     RightId v = 0;
     DS_CHECK_MSG(static_cast<bool>(is >> u >> v), "malformed bipartite line");
-    b.add_edge(u, v);
+    edges.emplace_back(u, v);
   }
-  return b;
+  return BipartiteGraph(nu, nv, edges);
 }
 
 std::string to_dot(const Graph& g) {

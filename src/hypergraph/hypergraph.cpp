@@ -57,30 +57,26 @@ std::size_t Hypergraph::max_degree() const {
 }
 
 graph::BipartiteGraph Hypergraph::incidence() const {
-  graph::BipartiteGraph b(num_vertices(), num_edges());
+  std::vector<std::pair<graph::LeftId, graph::RightId>> pairs;
   for (HyperedgeId e = 0; e < edges_.size(); ++e) {
-    for (VertexId v : edges_[e]) {
-      b.add_edge(v, e);
-    }
+    for (VertexId v : edges_[e]) pairs.emplace_back(v, e);
   }
-  return b;
+  return graph::BipartiteGraph(num_vertices(), num_edges(), pairs);
 }
 
 graph::Graph Hypergraph::conflict_graph() const {
-  graph::Graph g(num_edges());
+  std::vector<graph::Edge> edges;
   std::set<std::pair<HyperedgeId, HyperedgeId>> added;
   for (const auto& inc : incident_) {
     for (std::size_t i = 0; i < inc.size(); ++i) {
       for (std::size_t j = i + 1; j < inc.size(); ++j) {
         const auto a = std::min(inc[i], inc[j]);
         const auto b = std::max(inc[i], inc[j]);
-        if (a != b && added.insert({a, b}).second) {
-          g.add_edge(a, b);
-        }
+        if (a != b && added.insert({a, b}).second) edges.push_back({a, b});
       }
     }
   }
-  return g;
+  return graph::Graph(num_edges(), std::move(edges));
 }
 
 Hypergraph from_graph(const graph::Graph& g) {
@@ -155,15 +151,15 @@ HyperedgeSplitResult hyperedge_split(const Hypergraph& h, double eps,
   if (h.num_edges() == 0) return result;
   // Constraint instance: one left node per constrained vertex; right nodes
   // are the hyperedges.
-  graph::BipartiteGraph b(0, h.num_edges());
+  std::size_t constrained = 0;
+  std::vector<std::pair<graph::LeftId, graph::RightId>> pairs;
   for (VertexId v = 0; v < h.num_vertices(); ++v) {
     if (h.degree(v) < degree_threshold || h.degree(v) == 0) continue;
-    const graph::LeftId u = b.add_left_node();
-    for (HyperedgeId e : h.incident(v)) {
-      b.add_edge(u, e);
-    }
+    const auto u = static_cast<graph::LeftId>(constrained++);
+    for (HyperedgeId e : h.incident(v)) pairs.emplace_back(u, e);
   }
-  if (b.num_left() == 0) return result;
+  if (constrained == 0) return result;
+  const graph::BipartiteGraph b(constrained, h.num_edges(), pairs);
   const auto core = reductions::two_sided_split_bipartite(b, eps, rng, meter);
   result.is_red = core.is_red;
   result.initial_potential = core.initial_potential;

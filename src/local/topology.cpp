@@ -1,5 +1,7 @@
 #include "local/topology.hpp"
 
+#include <string>
+
 #include "support/check.hpp"
 
 namespace ds::local {
@@ -7,26 +9,36 @@ namespace ds::local {
 NetworkTopology::NetworkTopology(const graph::Graph& g, IdStrategy strategy,
                                  std::uint64_t seed)
     : graph_(&g), seed_(seed), master_(seed) {
+  // The run's first walk of the CSR, so it bounds-checks what a mapped
+  // `.dsg` image could get wrong: offsets start at 0 and never decrease
+  // (load_dsg checked offsets[n] == 2m), every edge endpoint is < n, and no
+  // node meets more edges than its row has ports.
+  const std::size_t n = g.num_nodes();
+  offsets_ = g.offsets();
+  DS_CHECK_MSG(offsets_[0] == 0, "corrupt CSR: offsets[0] != 0");
+  for (graph::NodeId v = 0; v < n; ++v) {
+    DS_CHECK_MSG(offsets_[v] <= offsets_[v + 1],
+                 "corrupt CSR: offsets decrease at node " + std::to_string(v));
+  }
+
   Rng rng(seed ^ 0x1D5ull);
   uids_ = assign_ids(g, strategy, rng);
-
-  const std::size_t n = g.num_nodes();
-  offsets_.resize(n + 1);
-  offsets_[0] = 0;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    offsets_[v + 1] = offsets_[v] + g.degree(v);
-  }
   reverse_ports_.resize(total_ports());
   delivery_slots_.resize(total_ports());
 
-  // add_edge appends each endpoint to the other's adjacency list, so for the
-  // e-th edge {u, v} the ports at u and v are the counts of earlier edges
-  // incident to u resp. v. One pass over the edge list therefore yields both
-  // reverse ports of every edge in O(m) — no per-edge adjacency scan.
+  // The CSR rows are filled in edge order, so for the e-th edge {u, v} the
+  // ports at u and v are the counts of earlier edges incident to u resp. v.
+  // One pass over the edge list therefore yields both reverse ports of
+  // every edge in O(m) — no per-edge adjacency scan.
   std::vector<std::size_t> cursor(n, 0);
   for (const graph::Edge& e : g.edges()) {
+    DS_CHECK_MSG(e.u < n && e.v < n,
+                 "corrupt CSR: edge {" + std::to_string(e.u) + ", " +
+                     std::to_string(e.v) + "} names a node >= n");
     const std::size_t pu = cursor[e.u]++;
     const std::size_t pv = cursor[e.v]++;
+    DS_CHECK_MSG(pu < g.degree(e.u) && pv < g.degree(e.v),
+                 "corrupt CSR: more edges than ports at a node");
     DS_CHECK(g.neighbors(e.u)[pu] == e.v);
     DS_CHECK(g.neighbors(e.v)[pv] == e.u);
     reverse_ports_[offsets_[e.u] + pu] = static_cast<std::uint32_t>(pv);

@@ -10,6 +10,7 @@
 /// bit-identical-output contract.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -21,9 +22,9 @@ namespace ds::local {
 
 /// Precomputed topology/UID/port tables for one communication graph.
 ///
-/// Ports are laid out in CSR form: node v owns the flat slot range
+/// Ports are the graph's CSR slots: node v owns the flat slot range
 /// [port_offset(v), port_offset(v) + degree(v)), one slot per incident edge
-/// in adjacency-list order. `delivery_slot(v, p)` is the flat slot that a
+/// in adjacency-row order. `delivery_slot(v, p)` is the flat slot that a
 /// message sent by v on its port p lands in — i.e. the slot of the reverse
 /// port at the neighbor — which lets executors deliver into flat per-round
 /// buffers without any per-node indirection.
@@ -38,13 +39,13 @@ class NetworkTopology {
   [[nodiscard]] const std::vector<std::uint64_t>& uids() const { return uids_; }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
-  /// First flat slot of node v; offsets()[n] == total_ports().
+  /// First flat slot of node v; port_offsets()[n] == total_ports().
   [[nodiscard]] std::size_t port_offset(graph::NodeId v) const {
     return offsets_[v];
   }
-  /// The full CSR port-offset table (size n + 1); port_offsets()[v] is the
+  /// The graph's CSR offset table (size n + 1); port_offsets()[v] is the
   /// first flat slot of node v. Used for degree-balanced shard splitting.
-  [[nodiscard]] const std::vector<std::size_t>& port_offsets() const {
+  [[nodiscard]] std::span<const std::uint64_t> port_offsets() const {
     return offsets_;
   }
   /// Total number of directed ports (= sum of degrees = 2m).
@@ -80,8 +81,8 @@ class NetworkTopology {
   /// Master generator the per-node streams are forked from (fork is pure).
   Rng master_;
   std::vector<std::uint64_t> uids_;
-  /// CSR port offsets, size n + 1.
-  std::vector<std::size_t> offsets_;
+  /// The graph's CSR offsets, size n + 1 (a view, not a copy).
+  std::span<const std::uint64_t> offsets_;
   /// reverse_ports_[offsets_[v] + p] = index of v in neighbors(v)[p]'s list.
   std::vector<std::uint32_t> reverse_ports_;
   /// delivery_slots_[offsets_[v] + p] = flat destination slot (see above).

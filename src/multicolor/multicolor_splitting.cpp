@@ -14,9 +14,7 @@ std::size_t distinct_colors_seen(const graph::BipartiteGraph& b,
                                  graph::LeftId u) {
   DS_CHECK(colors.size() == b.num_right());
   std::set<std::uint32_t> seen;
-  for (graph::EdgeId e : b.left_edges(u)) {
-    seen.insert(colors[b.endpoints(e).second]);
-  }
+  for (graph::RightId v : b.left_neighbors(u)) seen.insert(colors[v]);
   return seen.size();
 }
 
@@ -27,8 +25,8 @@ std::size_t max_color_load(const graph::BipartiteGraph& b,
   std::size_t worst = 0;
   // Degree is small relative to palette in general; count via a local map.
   std::vector<std::pair<std::uint32_t, std::size_t>> counts;
-  for (graph::EdgeId e : b.left_edges(u)) {
-    const std::uint32_t c = colors[b.endpoints(e).second];
+  for (graph::RightId v : b.left_neighbors(u)) {
+    const std::uint32_t c = colors[v];
     bool found = false;
     for (auto& [color, count] : counts) {
       if (color == c) {

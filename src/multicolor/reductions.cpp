@@ -54,8 +54,8 @@ splitting::Coloring weak_splitting_via_multicolor(
   // have different colors. Validate the claim.
   for (graph::LeftId u = 0; u < pruned.num_left(); ++u) {
     std::set<std::uint32_t> seen;
-    for (graph::EdgeId e : pruned.left_edges(u)) {
-      DS_CHECK_MSG(seen.insert(multicolors[pruned.endpoints(e).second]).second,
+    for (graph::RightId v : pruned.left_neighbors(u)) {
+      DS_CHECK_MSG(seen.insert(multicolors[v]).second,
                    "S(u) is not rainbow — B′² coloring claim violated");
     }
   }
@@ -117,19 +117,20 @@ IteratedCLResult iterated_cl_multicolor(const graph::BipartiteGraph& b,
   for (std::size_t iter = 0; iter < result.iterations; ++iter) {
     // Virtual instance H_i: one left node per (u, current color class x)
     // with enough neighbors of class x.
-    graph::BipartiteGraph h(0, b.num_right());
+    std::size_t virtual_nodes = 0;
+    std::vector<std::pair<graph::LeftId, graph::RightId>> edges;
     for (graph::LeftId u = 0; u < b.num_left(); ++u) {
       std::map<std::uint64_t, std::vector<graph::RightId>> classes;
-      for (graph::EdgeId e : b.left_edges(u)) {
-        const graph::RightId v = b.endpoints(e).second;
+      for (graph::RightId v : b.left_neighbors(u)) {
         classes[combined[v]].push_back(v);
       }
       for (const auto& [x, members] : classes) {
         if (members.size() < min_virtual_degree) continue;
-        const graph::LeftId vu = h.add_left_node();
-        for (graph::RightId v : members) h.add_edge(vu, v);
+        const auto vu = static_cast<graph::LeftId>(virtual_nodes++);
+        for (graph::RightId v : members) edges.emplace_back(vu, v);
       }
     }
+    const graph::BipartiteGraph h(virtual_nodes, b.num_right(), edges);
     // Black box: (C, λ)-multicolor splitting on H_i.
     const ColorAssignment found =
         derand_cl_multicolor(h, C, lambda, rng, meter);

@@ -155,7 +155,7 @@ SinklessOutcome sinkless_program(const graph::Graph& g, std::uint64_t seed,
                                  std::size_t max_trials,
                                  const local::ExecutorFactory& executor) {
   // Port of each edge at its lower endpoint, for output extraction: the
-  // adjacency lists grow in edge-insertion order, so walk the edges once.
+  // CSR rows are in edge order, so walk the edges once.
   std::vector<std::size_t> port_at_u(g.num_edges());
   {
     std::vector<std::size_t> cursor(g.num_nodes(), 0);

@@ -5,13 +5,14 @@
 namespace ds::reductions {
 
 graph::BipartiteGraph graph_to_bipartite(const graph::Graph& g) {
-  graph::BipartiteGraph b(g.num_nodes(), g.num_nodes());
+  std::vector<std::pair<graph::LeftId, graph::RightId>> edges;
+  edges.reserve(2 * g.num_edges());
   for (const graph::Edge& e : g.edges()) {
     // v_L sees u_R and u_L sees v_R.
-    b.add_edge(e.v, e.u);
-    b.add_edge(e.u, e.v);
+    edges.emplace_back(e.v, e.u);
+    edges.emplace_back(e.u, e.v);
   }
-  return b;
+  return graph::BipartiteGraph(g.num_nodes(), g.num_nodes(), edges);
 }
 
 bool is_graph_weak_splitting(const graph::Graph& g,

@@ -24,7 +24,7 @@ bool majority_larger(const graph::Graph& g,
 graph::BipartiteGraph build_sinkless_instance(
     const graph::Graph& g, const std::vector<std::uint64_t>& ids) {
   DS_CHECK(ids.size() == g.num_nodes());
-  graph::BipartiteGraph b(g.num_nodes(), g.num_edges());
+  std::vector<std::pair<graph::LeftId, graph::RightId>> edges;
   // Incident edge ids per node, one edge scan.
   std::vector<std::vector<std::size_t>> incident(g.num_nodes());
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
@@ -38,11 +38,11 @@ graph::BipartiteGraph build_sinkless_instance(
       const graph::NodeId other = ed.u == u ? ed.v : ed.u;
       const bool other_larger = ids[other] > ids[u];
       if (other_larger == use_larger) {
-        b.add_edge(u, static_cast<graph::RightId>(e));
+        edges.emplace_back(u, static_cast<graph::RightId>(e));
       }
     }
   }
-  return b;
+  return graph::BipartiteGraph(g.num_nodes(), g.num_edges(), edges);
 }
 
 std::vector<bool> orientation_from_splitting(

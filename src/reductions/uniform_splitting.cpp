@@ -72,7 +72,7 @@ TwoSidedSplitResult two_sided_split_bipartite(const graph::BipartiteGraph& b,
   if (b.num_left() == 0 || b.num_right() == 0) return result;
 
   // Schedule by a coloring of B² and run the two-sided derandomization.
-  const graph::Graph unified = b.unified();
+  const graph::Graph& unified = b.unified();
   Rng id_rng = rng.fork(0x2512Dull);
   const auto ids =
       local::assign_ids(unified, local::IdStrategy::kSequential, id_rng);
@@ -184,14 +184,14 @@ UniformSplitResult uniform_split(const graph::Graph& g, double eps,
   DS_CHECK(eps > 0.0 && eps < 0.5);
   // Constraint instance: one left node per constrained graph node, right
   // nodes are all graph nodes, u's right neighbors are its graph neighbors.
-  graph::BipartiteGraph b(0, g.num_nodes());
+  std::size_t constrained = 0;
+  std::vector<std::pair<graph::LeftId, graph::RightId>> edges;
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     if (g.degree(v) < degree_threshold || g.degree(v) == 0) continue;
-    const graph::LeftId u = b.add_left_node();
-    for (graph::NodeId w : g.neighbors(v)) {
-      b.add_edge(u, w);
-    }
+    const auto u = static_cast<graph::LeftId>(constrained++);
+    for (graph::NodeId w : g.neighbors(v)) edges.emplace_back(u, w);
   }
+  const graph::BipartiteGraph b(constrained, g.num_nodes(), edges);
 
   UniformSplitResult result;
   if (b.num_left() == 0) {

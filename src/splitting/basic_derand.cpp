@@ -15,7 +15,7 @@ Coloring basic_derand_split(const graph::BipartiteGraph& b, Rng& rng,
                             local::CostMeter* meter, BasicDerandInfo* info) {
   // 1. Color B² (the unified graph's square) with O(Δ·r) colors. This is the
   //    [BEK14a]-style coloring step of Lemma 2.1, O(Δr + log* n) rounds.
-  const graph::Graph unified = b.unified();
+  const graph::Graph& unified = b.unified();
   Rng id_rng = rng.fork(0xC0105ull);
   const auto ids =
       local::assign_ids(unified, local::IdStrategy::kSequential, id_rng);

@@ -19,7 +19,7 @@ graph::BipartiteGraph drr2_iteration(const graph::BipartiteGraph& b,
   };
   std::vector<PairEdges> pair_info;
   for (graph::RightId v = 0; v < b.num_right(); ++v) {
-    const auto& edges = b.right_edges(v);
+    const auto edges = b.right_edges(v);
     for (std::size_t i = 0; i + 1 < edges.size(); i += 2) {
       const graph::LeftId a = b.endpoints(edges[i]).first;
       const graph::LeftId c = b.endpoints(edges[i + 1]).first;

@@ -156,13 +156,13 @@ ShatterOutcome finish_shattering(const graph::BipartiteGraph& b,
   }
   std::vector<bool> uncolor(b.num_right(), false);
   for (graph::LeftId u = 0; u < b.num_left(); ++u) {
-    const auto& edges = b.left_edges(u);
+    const auto nbrs = b.left_neighbors(u);
     std::size_t colored = 0;
-    for (graph::EdgeId e : edges) {
-      if (out.partial[b.endpoints(e).second] != Color::kUncolored) ++colored;
+    for (graph::RightId v : nbrs) {
+      if (out.partial[v] != Color::kUncolored) ++colored;
     }
-    if (4 * colored > 3 * edges.size()) {
-      for (graph::EdgeId e : edges) uncolor[b.endpoints(e).second] = true;
+    if (4 * colored > 3 * nbrs.size()) {
+      for (graph::RightId v : nbrs) uncolor[v] = true;
     }
   }
   for (graph::RightId v = 0; v < b.num_right(); ++v) {
@@ -172,8 +172,8 @@ ShatterOutcome finish_shattering(const graph::BipartiteGraph& b,
   for (graph::LeftId u = 0; u < b.num_left(); ++u) {
     bool red = false;
     bool blue = false;
-    for (graph::EdgeId e : b.left_edges(u)) {
-      const Color c = out.partial[b.endpoints(e).second];
+    for (graph::RightId v : b.left_neighbors(u)) {
+      const Color c = out.partial[v];
       red = red || (c == Color::kRed);
       blue = blue || (c == Color::kBlue);
     }
@@ -251,7 +251,7 @@ derand::Problem high_girth_shatter_problem(const graph::BipartiteGraph& b,
   // var_constraints: a variable affects the estimators of right nodes within
   // distance 4 (itself, plus constraints reading its color through their
   // A1/A2/A3/A4 pieces).
-  const graph::Graph unified = b.unified();
+  const graph::Graph& unified = b.unified();
   p.var_constraints.resize(b.num_right());
   for (graph::RightId v = 0; v < b.num_right(); ++v) {
     std::set<graph::RightId> affected;
@@ -290,7 +290,7 @@ Coloring high_girth_det_split(const graph::BipartiteGraph& b, Rng& rng,
   DS_CHECK_MSG(b.min_left_degree() >= 5,
                "need min left degree >= 5 so unsatisfied nodes keep >= 2 "
                "uncolored neighbors");
-  const graph::Graph unified = b.unified();
+  const graph::Graph& unified = b.unified();
   if (config.check_girth) {
     DS_CHECK_MSG(graph::girth(unified) >= 10,
                  "high_girth_det_split requires girth >= 10");

@@ -27,13 +27,13 @@ ShatterOutcome shattering_phase(const graph::BipartiteGraph& b, Rng& rng,
   // them. Counts are taken simultaneously against the phase-1 colors.
   std::vector<bool> uncolor(b.num_right(), false);
   for (graph::LeftId u = 0; u < b.num_left(); ++u) {
-    const auto& edges = b.left_edges(u);
+    const auto nbrs = b.left_neighbors(u);
     std::size_t colored = 0;
-    for (graph::EdgeId e : edges) {
-      if (out.partial[b.endpoints(e).second] != Color::kUncolored) ++colored;
+    for (graph::RightId v : nbrs) {
+      if (out.partial[v] != Color::kUncolored) ++colored;
     }
-    if (4 * colored > 3 * edges.size()) {
-      for (graph::EdgeId e : edges) uncolor[b.endpoints(e).second] = true;
+    if (4 * colored > 3 * nbrs.size()) {
+      for (graph::RightId v : nbrs) uncolor[v] = true;
     }
   }
   for (graph::RightId v = 0; v < b.num_right(); ++v) {
@@ -44,8 +44,8 @@ ShatterOutcome shattering_phase(const graph::BipartiteGraph& b, Rng& rng,
   for (graph::LeftId u = 0; u < b.num_left(); ++u) {
     bool red = false;
     bool blue = false;
-    for (graph::EdgeId e : b.left_edges(u)) {
-      const Color c = out.partial[b.endpoints(e).second];
+    for (graph::RightId v : b.left_neighbors(u)) {
+      const Color c = out.partial[v];
       red = red || (c == Color::kRed);
       blue = blue || (c == Color::kBlue);
     }

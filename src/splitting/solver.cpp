@@ -40,10 +40,15 @@ SolveResult solve_weak_splitting(const graph::BipartiteGraph& b,
   const std::size_t n = std::max<std::size_t>(4, b.num_nodes());
   const double log_n = std::log2(static_cast<double>(n));
 
-  const std::size_t girth = options.girth_hint != 0
-                                ? options.girth_hint
-                                : graph::girth(b.unified());
-  const bool high_girth = girth >= 10 && delta >= 8;
+  // Girth is an all-sources BFS, so it is computed only when the
+  // high-girth branch is reached (δ >= 8 and every earlier branch declined).
+  const auto high_girth = [&] {
+    if (delta < 8) return false;
+    const std::size_t girth = options.girth_hint != 0
+                                  ? options.girth_hint
+                                  : graph::girth(b.unified());
+    return girth >= 10;
+  };
 
   if (!options.deterministic &&
       static_cast<double>(delta) > 2.0 * log_n) {
@@ -60,7 +65,7 @@ SolveResult solve_weak_splitting(const graph::BipartiteGraph& b,
              static_cast<double>(delta) >= 2.0 * log_n) {
     result.algorithm = Algorithm::kDeterministic;
     result.colors = deterministic_weak_split(b, rng, &result.meter);
-  } else if (high_girth) {
+  } else if (high_girth()) {
     if (options.deterministic) {
       result.algorithm = Algorithm::kHighGirthDet;
       HighGirthConfig config;

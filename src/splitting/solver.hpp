@@ -32,7 +32,8 @@ std::string algorithm_name(Algorithm algorithm);
 /// Solver preferences.
 struct SolverOptions {
   bool deterministic = true;
-  /// If >= 10, skip the girth computation and trust the caller.
+  /// If nonzero, trusted as the girth of `b.unified()` instead of computing
+  /// it (the solver needs the girth only on the high-girth branch).
   std::size_t girth_hint = 0;
   /// Allow the robust fallback outside all theorem regimes (on by default;
   /// turn off to make the facade throw instead).

@@ -16,8 +16,8 @@ bool sees_both(const graph::BipartiteGraph& b, const Coloring& colors,
                graph::LeftId u) {
   bool red = false;
   bool blue = false;
-  for (graph::EdgeId e : b.left_edges(u)) {
-    const Color c = colors[b.endpoints(e).second];
+  for (graph::RightId v : b.left_neighbors(u)) {
+    const Color c = colors[v];
     red = red || (c == Color::kRed);
     blue = blue || (c == Color::kBlue);
     if (red && blue) return true;
@@ -112,20 +112,17 @@ Coloring robust_component_solve(const graph::BipartiteGraph& b, Rng& rng,
       const auto bad = unsatisfied_nodes(b, colors, min_degree);
       if (bad.empty()) return colors;
       for (graph::LeftId u : bad) {
-        const auto& edges = b.left_edges(u);
-        if (edges.size() < 2) continue;
+        const auto nbrs = b.left_neighbors(u);
+        if (nbrs.size() < 2) continue;
         // Recolor a random neighbor to the color u is missing.
         bool red = false;
         bool blue = false;
-        for (graph::EdgeId e : edges) {
-          const Color c = colors[b.endpoints(e).second];
-          red = red || (c == Color::kRed);
-          blue = blue || (c == Color::kBlue);
+        for (graph::RightId v : nbrs) {
+          red = red || (colors[v] == Color::kRed);
+          blue = blue || (colors[v] == Color::kBlue);
         }
         const Color missing = !red ? Color::kRed : Color::kBlue;
-        const graph::RightId pick =
-            b.endpoints(edges[rng.next_index(edges.size())]).second;
-        colors[pick] = missing;
+        colors[nbrs[rng.next_index(nbrs.size())]] = missing;
       }
     }
     if (is_weak_splitting(b, colors, min_degree)) return colors;

@@ -299,8 +299,9 @@ TEST(DistributedNetwork, DegreeSizedOutputRowsFitTheGather) {
   // degree-balanced split gives one worker a single huge-degree hub and
   // nothing else — a flat per-node budget used to overflow here while the
   // in-process executors succeeded.
-  graph::Graph star(201);
-  for (graph::NodeId v = 1; v < 201; ++v) star.add_edge(0, v);
+  std::vector<graph::Edge> spokes;
+  for (graph::NodeId v = 1; v < 201; ++v) spokes.push_back({0, v});
+  const graph::Graph star(201, std::move(spokes));
   // Worker 0 owns exactly the hub (its 200 ports are half of all ports).
   DistributedConfig config;
   config.workers = 2;

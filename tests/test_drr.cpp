@@ -125,10 +125,8 @@ TEST(Drr2, PreservesEdgeOwnership) {
 }
 
 TEST(Drr2, DegreeOneRightNodesKeepTheirEdge) {
-  graph::BipartiteGraph b(3, 1);
-  b.add_edge(0, 0);  // v0 has degree 3: one pair + one unpaired
-  b.add_edge(1, 0);
-  b.add_edge(2, 0);
+  // v0 has degree 3: one pair + one unpaired
+  graph::BipartiteGraph b(3, 1, {{0, 0}, {1, 0}, {2, 0}});
   Rng rng(6);
   auto reduced = drr2_iteration(b, euler_config(0.1), rng, nullptr);
   EXPECT_EQ(reduced.right_degree(0), 2u);

@@ -57,7 +57,7 @@ TEST_P(RandomRegularSweep, ExactlyRegularAndSimple) {
   for (NodeId v = 0; v < n; ++v) {
     ASSERT_EQ(g.degree(v), d) << "node " << v;
   }
-  // Simplicity is enforced by Graph::add_edge; reaching here means no
+  // Simplicity is enforced by the Graph constructor; reaching here means no
   // duplicate/self edges were produced.
 }
 

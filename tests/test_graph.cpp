@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "graph/bipartite.hpp"
 #include "graph/graph.hpp"
@@ -16,13 +17,11 @@
 namespace ds::graph {
 namespace {
 
-Graph triangle_with_tail() {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  return g;
+Graph triangle_with_tail() { return Graph(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}}); }
+
+template <typename Range>
+std::vector<NodeId> to_vector(const Range& r) {
+  return std::vector<NodeId>(r.begin(), r.end());
 }
 
 TEST(Graph, DegreesAndEdges) {
@@ -39,10 +38,36 @@ TEST(Graph, DegreesAndEdges) {
 }
 
 TEST(Graph, RejectsSelfLoopsAndParallelEdges) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_THROW(g.add_edge(0, 0), CheckError);
-  EXPECT_THROW(g.add_edge(1, 0), CheckError);
+  EXPECT_NO_THROW(Graph(3, {{0, 1}}));
+  EXPECT_THROW(Graph(3, {{0, 1}, {0, 0}}), CheckError);
+  EXPECT_THROW(Graph(3, {{0, 1}, {1, 0}}), CheckError);
+  EXPECT_THROW(Graph(3, {{0, 1}, {0, 1}}), CheckError);
+  EXPECT_THROW(Graph(3, {{0, 3}}), CheckError);
+}
+
+TEST(Graph, PortsFollowEdgeOrder) {
+  // Port p of v is v's p-th edge in the edge list; edges are stored as
+  // (min, max) in the order given.
+  const Graph g(4, {{2, 0}, {0, 1}, {3, 0}, {1, 2}});
+  EXPECT_EQ(to_vector(g.neighbors(0)), (std::vector<NodeId>{2, 1, 3}));
+  EXPECT_EQ(to_vector(g.neighbors(1)), (std::vector<NodeId>{0, 2}));
+  EXPECT_EQ(to_vector(g.neighbors(2)), (std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(g.edges()[0], (Edge{0, 2}));
+  EXPECT_EQ(g.edges()[2], (Edge{0, 3}));
+  const std::vector<std::uint64_t> offsets(g.offsets().begin(),
+                                           g.offsets().end());
+  EXPECT_EQ(offsets, (std::vector<std::uint64_t>{0, 3, 5, 7, 8}));
+}
+
+TEST(Graph, CopiesShareOneCsr) {
+  const Graph g = triangle_with_tail();
+  const Graph h = g;
+  EXPECT_EQ(h.neighbors(2).data(), g.neighbors(2).data());
+  EXPECT_EQ(h.edges().data(), g.edges().data());
+  const Graph empty;
+  EXPECT_EQ(empty.num_nodes(), 0u);
+  EXPECT_EQ(empty.offsets().size(), 1u);
+  EXPECT_EQ(empty.offsets()[0], 0u);
 }
 
 TEST(Graph, InducedSubgraphKeepsInternalEdges) {
@@ -94,12 +119,7 @@ TEST(Multigraph, SelfLoopHasZeroDiscrepancy) {
 
 BipartiteGraph small_instance() {
   // U = {0,1}, V = {0,1,2}; u0 ~ {v0,v1}, u1 ~ {v1,v2}.
-  BipartiteGraph b(2, 3);
-  b.add_edge(0, 0);
-  b.add_edge(0, 1);
-  b.add_edge(1, 1);
-  b.add_edge(1, 2);
-  return b;
+  return BipartiteGraph(2, 3, {{0, 0}, {0, 1}, {1, 1}, {1, 2}});
 }
 
 TEST(Bipartite, DegreesRankAndNeighbors) {
@@ -112,16 +132,18 @@ TEST(Bipartite, DegreesRankAndNeighbors) {
   EXPECT_EQ(b.max_left_degree(), 2u);
   EXPECT_EQ(b.rank(), 2u);  // v1 has two constraints
   EXPECT_EQ(b.min_right_degree(), 1u);
-  EXPECT_EQ(b.left_neighbors(0), (std::vector<RightId>{0, 1}));
-  EXPECT_EQ(b.right_neighbors(1), (std::vector<LeftId>{0, 1}));
+  EXPECT_EQ(to_vector(b.left_neighbors(0)), (std::vector<RightId>{0, 1}));
+  EXPECT_EQ(to_vector(b.right_neighbors(1)), (std::vector<LeftId>{0, 1}));
+  EXPECT_EQ(to_vector(b.left_edges(1)), (std::vector<EdgeId>{2, 3}));
+  EXPECT_EQ(to_vector(b.right_edges(1)), (std::vector<EdgeId>{1, 2}));
   EXPECT_TRUE(b.has_edge(0, 1));
   EXPECT_FALSE(b.has_edge(0, 2));
 }
 
 TEST(Bipartite, RejectsParallelEdges) {
-  BipartiteGraph b(1, 1);
-  b.add_edge(0, 0);
-  EXPECT_THROW(b.add_edge(0, 0), CheckError);
+  EXPECT_THROW(BipartiteGraph(1, 1, {{0, 0}, {0, 0}}), CheckError);
+  EXPECT_THROW(BipartiteGraph(1, 1, {{1, 0}}), CheckError);
+  EXPECT_THROW(BipartiteGraph(1, 1, {{0, 1}}), CheckError);
 }
 
 TEST(Bipartite, FilterEdgesRenumbers) {
@@ -138,18 +160,29 @@ TEST(Bipartite, FilterEdgesRenumbers) {
 
 TEST(Bipartite, UnifiedGraphLayout) {
   const BipartiteGraph b = small_instance();
-  const Graph u = b.unified();
+  const Graph& u = b.unified();
+  EXPECT_EQ(&u, &b.unified());  // a reference, not a per-call copy
   EXPECT_EQ(u.num_nodes(), 5u);
   EXPECT_EQ(u.num_edges(), 4u);
   EXPECT_TRUE(u.has_edge(b.unified_left(0), b.unified_right(0)));
   EXPECT_TRUE(u.has_edge(b.unified_left(1), b.unified_right(2)));
+  // Edge e of B is edge e of the unified graph, and left_edges(u)[p] is the
+  // edge on u's unified port p.
+  for (EdgeId e = 0; e < b.num_edges(); ++e) {
+    const auto [l, r] = b.endpoints(e);
+    EXPECT_EQ(u.edges()[e], (Edge{b.unified_left(l), b.unified_right(r)}));
+  }
+  for (LeftId l = 0; l < b.num_left(); ++l) {
+    for (std::size_t p = 0; p < b.left_degree(l); ++p) {
+      EXPECT_EQ(b.endpoints(b.left_edges(l)[p]).second,
+                u.neighbors(b.unified_left(l))[p] - b.num_left());
+    }
+  }
 }
 
 TEST(Bipartite, ConnectedComponentsSplitAndMapBack) {
-  BipartiteGraph b(3, 3);
-  b.add_edge(0, 0);
-  b.add_edge(1, 1);
-  b.add_edge(2, 1);  // u1,u2,v1 one component; u0,v0 another; v2 isolated
+  // u1,u2,v1 one component; u0,v0 another; v2 isolated
+  const BipartiteGraph b(3, 3, {{0, 0}, {1, 1}, {2, 1}});
   const auto comps = connected_components(b);
   EXPECT_EQ(comps.size(), 2u);
   std::size_t total_edges = 0;
@@ -165,8 +198,7 @@ TEST(Bipartite, ConnectedComponentsSplitAndMapBack) {
 }
 
 TEST(Bipartite, IsolatedNodesOptIn) {
-  BipartiteGraph b(1, 2);
-  b.add_edge(0, 0);
+  const BipartiteGraph b(1, 2, {{0, 0}});
   EXPECT_EQ(connected_components(b, false).size(), 1u);
   EXPECT_EQ(connected_components(b, true).size(), 2u);
 }
@@ -182,9 +214,7 @@ TEST(Properties, BfsDistances) {
 }
 
 TEST(Properties, ComponentsAndConnectivity) {
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  const Graph g(5, {{0, 1}, {2, 3}});
   const auto labels = component_labels(g);
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_NE(labels[0], labels[2]);
@@ -194,22 +224,15 @@ TEST(Properties, ComponentsAndConnectivity) {
 
 TEST(Properties, GirthOfKnownGraphs) {
   EXPECT_EQ(girth(triangle_with_tail()), 3u);
-  Graph c5(5);
-  for (NodeId v = 0; v < 5; ++v) c5.add_edge(v, (v + 1) % 5);
+  const Graph c5(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
   EXPECT_EQ(girth(c5), 5u);
-  Graph tree(4);
-  tree.add_edge(0, 1);
-  tree.add_edge(1, 2);
-  tree.add_edge(1, 3);
+  const Graph tree(4, {{0, 1}, {1, 2}, {1, 3}});
   EXPECT_EQ(girth(tree), SIZE_MAX);
   EXPECT_TRUE(shortest_cycle(tree).empty());
 }
 
 TEST(Properties, PowerGraphAndBall) {
-  Graph path(4);
-  path.add_edge(0, 1);
-  path.add_edge(1, 2);
-  path.add_edge(2, 3);
+  const Graph path(4, {{0, 1}, {1, 2}, {2, 3}});
   const Graph p2 = power(path, 2);
   EXPECT_TRUE(p2.has_edge(0, 2));
   EXPECT_FALSE(p2.has_edge(0, 3));
@@ -245,8 +268,9 @@ TEST(Io, MalformedInputThrows) {
 
 TEST(VirtualSplit, NormalizationBoundsDegrees) {
   // One left node of degree 9 with delta = 2 must split into 4 copies.
-  BipartiteGraph b(1, 9);
-  for (RightId v = 0; v < 9; ++v) b.add_edge(0, v);
+  std::vector<std::pair<LeftId, RightId>> star;
+  for (RightId v = 0; v < 9; ++v) star.emplace_back(0, v);
+  const BipartiteGraph b(1, 9, star);
   const auto norm = normalize_left_degrees(b, 2);
   EXPECT_EQ(norm.graph.num_left(), 4u);
   for (LeftId u = 0; u < norm.graph.num_left(); ++u) {
@@ -258,16 +282,14 @@ TEST(VirtualSplit, NormalizationBoundsDegrees) {
 }
 
 TEST(VirtualSplit, SmallDegreesKeptWhole) {
-  BipartiteGraph b(1, 4);
-  for (RightId v = 0; v < 4; ++v) b.add_edge(0, v);
+  const BipartiteGraph b(1, 4, {{0, 0}, {0, 1}, {0, 2}, {0, 3}});
   const auto norm = normalize_left_degrees(b, 2);  // deg 4 = 2*delta: kept
   EXPECT_EQ(norm.graph.num_left(), 1u);
   EXPECT_EQ(norm.graph.left_degree(0), 4u);
 }
 
 TEST(VirtualSplit, PaddingRaisesMinDegree) {
-  Graph g(3);
-  g.add_edge(0, 1);  // degrees 1,1,0
+  const Graph g(3, {{0, 1}});  // degrees 1,1,0
   const auto padded = pad_to_min_degree(g, 4);
   for (NodeId v = 0; v < 3; ++v) {
     EXPECT_GE(padded.graph.degree(v), 4u);

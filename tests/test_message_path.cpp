@@ -233,8 +233,9 @@ void expect_varying_lengths_deliver(local::Executor& exec) {
 TEST(WriterApi, VaryingLengthsOnStarMaxDegreeHub) {
   // Star: the hub writes num_nodes - 1 ports of different lengths in one
   // send; every leaf has degree 1.
-  graph::Graph g(64);
-  for (graph::NodeId v = 1; v < 64; ++v) g.add_edge(0, v);
+  std::vector<graph::Edge> spokes;
+  for (graph::NodeId v = 1; v < 64; ++v) spokes.push_back({0, v});
+  const graph::Graph g(64, std::move(spokes));
   for (std::size_t threads : {1, 2, 8}) {
     runtime::ParallelNetwork par(g, local::IdStrategy::kRandomPermutation, 3,
                                  threads);

@@ -17,16 +17,14 @@ namespace ds::multicolor {
 namespace {
 
 TEST(Verifiers, DistinctColorsAndLoads) {
-  graph::BipartiteGraph b(1, 4);
-  for (graph::RightId v = 0; v < 4; ++v) b.add_edge(0, v);
+  const graph::BipartiteGraph b(1, 4, {{0, 0}, {0, 1}, {0, 2}, {0, 3}});
   const ColorAssignment colors{0, 0, 1, 2};
   EXPECT_EQ(distinct_colors_seen(b, colors, 0), 3u);
   EXPECT_EQ(max_color_load(b, colors, 0), 2u);
 }
 
 TEST(Verifiers, MulticolorSplittingCaps) {
-  graph::BipartiteGraph b(1, 4);
-  for (graph::RightId v = 0; v < 4; ++v) b.add_edge(0, v);
+  const graph::BipartiteGraph b(1, 4, {{0, 0}, {0, 1}, {0, 2}, {0, 3}});
   // lambda = 0.5, deg = 4: cap = 2 per color.
   EXPECT_TRUE(is_multicolor_splitting(b, {0, 0, 1, 1}, 2, 0.5));
   EXPECT_FALSE(is_multicolor_splitting(b, {0, 0, 0, 1}, 2, 0.5));
@@ -39,8 +37,7 @@ TEST(Verifiers, MulticolorSplittingCaps) {
 }
 
 TEST(Verifiers, WeakMulticolor) {
-  graph::BipartiteGraph b(1, 4);
-  for (graph::RightId v = 0; v < 4; ++v) b.add_edge(0, v);
+  const graph::BipartiteGraph b(1, 4, {{0, 0}, {0, 1}, {0, 2}, {0, 3}});
   EXPECT_TRUE(is_weak_multicolor_splitting(b, {0, 1, 2, 0}, 4, 3, 0));
   EXPECT_FALSE(is_weak_multicolor_splitting(b, {0, 1, 0, 1}, 4, 3, 0));
   EXPECT_TRUE(is_weak_multicolor_splitting(b, {0, 1, 0, 1}, 4, 3, 5));

@@ -104,12 +104,23 @@ class BipartiteZoo : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BipartiteZoo, SolverFacadeAlwaysVerifiesBothModes) {
   for (const auto& [name, b] : bipartite_zoo(GetParam() * 31)) {
+    const std::size_t girth = graph::girth(b.unified());
     for (bool deterministic : {true, false}) {
       Rng rng(GetParam());
       splitting::SolverOptions options;
       options.deterministic = deterministic;
       const auto result = splitting::solve_weak_splitting(b, options, rng);
       EXPECT_TRUE(splitting::is_weak_splitting(b, result.colors))
+          << name << (deterministic ? " det" : " rand");
+      // The solver computes the girth only on the branch that reads it, so
+      // the true girth as a hint must not change what it picks or outputs.
+      Rng hinted_rng(GetParam());
+      options.girth_hint = girth;
+      const auto hinted =
+          splitting::solve_weak_splitting(b, options, hinted_rng);
+      EXPECT_EQ(hinted.algorithm, result.algorithm)
+          << name << (deterministic ? " det" : " rand");
+      EXPECT_EQ(hinted.colors, result.colors)
           << name << (deterministic ? " det" : " rand");
     }
   }

@@ -123,16 +123,16 @@ TEST(Theorem12, TrivialShortcutAtHighDegree) {
 TEST(Theorem12, NormalizesSkewedDegrees) {
   Rng rng(8);
   // Mix: most left nodes have degree 8, a few have degree 64 (> 2δ).
-  graph::BipartiteGraph b(0, 256);
-  for (std::size_t i = 0; i < 64; ++i) {
-    const auto u = b.add_left_node();
-    Rng pick = rng.fork(i);
-    const std::size_t degree = i < 8 ? 64 : 8;
+  std::vector<std::pair<graph::LeftId, graph::RightId>> edges;
+  for (graph::LeftId u = 0; u < 64; ++u) {
+    Rng pick = rng.fork(u);
+    const std::size_t degree = u < 8 ? 64 : 8;
     std::vector<graph::RightId> pool(256);
     for (graph::RightId v = 0; v < 256; ++v) pool[v] = v;
     pick.shuffle(pool);
-    for (std::size_t j = 0; j < degree; ++j) b.add_edge(u, pool[j]);
+    for (std::size_t j = 0; j < degree; ++j) edges.emplace_back(u, pool[j]);
   }
+  const graph::BipartiteGraph b(64, 256, edges);
   ShatteringStats stats;
   const Coloring colors = randomized_weak_split(b, rng, nullptr, &stats);
   EXPECT_TRUE(is_weak_splitting(b, colors));

@@ -182,7 +182,6 @@ int cmd_pack(const Options& opts) {
 
 int cmd_stats(const Options& opts) {
   const auto b = load_bipartite(opts);
-  const graph::Graph unified = b.unified();
   std::cout << "left nodes (U):   " << b.num_left() << "\n"
             << "right nodes (V):  " << b.num_right() << "\n"
             << "edges:            " << b.num_edges() << "\n"
@@ -190,7 +189,7 @@ int cmd_stats(const Options& opts) {
             << "max left degree:  " << b.max_left_degree() << "\n"
             << "rank r:           " << b.rank() << "\n"
             << "girth:            ";
-  const std::size_t girth = graph::girth(unified);
+  const std::size_t girth = graph::girth(b.unified());
   if (girth == SIZE_MAX) {
     std::cout << "inf (forest)\n";
   } else {
@@ -309,12 +308,9 @@ RunPlan resolve_run(const Options& opts) {
 /// Edge-cut stats of the partition the distributed executors actually ran
 /// — a pure function of the CSR degree profile and the part count.
 void print_partition_stats(const graph::Graph& g, std::size_t parts) {
-  std::vector<std::size_t> offsets(g.num_nodes() + 1, 0);
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    offsets[v + 1] = offsets[v] + g.degree(v);
-  }
-  const auto bounds = dist::degree_balanced_boundaries(offsets, parts);
-  const dist::PartitionStats stats = dist::partition_stats(g, offsets, bounds);
+  const auto bounds = dist::degree_balanced_boundaries(g.offsets(), parts);
+  const dist::PartitionStats stats =
+      dist::partition_stats(g, g.offsets(), bounds);
   std::cout << "partition: " << stats.cut_edges << " cut edges, "
             << stats.internal_edges << " internal, balance "
             << stats.balance_factor << "\n";
@@ -438,7 +434,6 @@ int cmd_run(const RunPlan& plan, const Options& opts) {
                                " needs a bipartite instance, but this "
                                "source carries no left/right split");
       b = graph::bipartite_from_unified(g, nu);
-      g = graph::Graph();  // the unified copy is no longer needed
     }
     ctx.bipartite = &b;
   }
