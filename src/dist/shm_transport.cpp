@@ -153,13 +153,6 @@ void HaloTransport::patch(std::size_t dst, local::MessageSpan* local_arena,
   }
 }
 
-std::vector<const std::uint64_t*> HaloTransport::bank_bases(
-    std::size_t w, const std::uint64_t* own_bank) const {
-  std::vector<const std::uint64_t*> bases;
-  fill_bank_bases(w, own_bank, bases);
-  return bases;
-}
-
 void HaloTransport::fill_bank_bases(
     std::size_t w, const std::uint64_t* own_bank,
     std::vector<const std::uint64_t*>& bases) const {

@@ -75,15 +75,12 @@ class HaloTransport {
   void patch(std::size_t dst, local::MessageSpan* local_arena,
              std::uint64_t epoch) const;
 
-  /// Word-bank base table for worker w's `local::Inbox`s: index 0 is
+  /// Word-bank base table for worker w's `local::Inbox`s, written into a
+  /// caller-owned vector (resized to 1 + W, so the per-round rebuild
+  /// allocates nothing once the vector reached capacity): index 0 is
   /// `own_bank`, index 1 + src the shared payload area of src's block
   /// toward w (null when src sends nothing to w). Rebuild each round —
   /// `own_bank` moves when the private bank reallocates.
-  [[nodiscard]] std::vector<const std::uint64_t*> bank_bases(
-      std::size_t w, const std::uint64_t* own_bank) const;
-
-  /// `bank_bases` into a caller-owned vector (resized to 1 + W), so the
-  /// per-round rebuild allocates nothing once the vector reached capacity.
   void fill_bank_bases(std::size_t w, const std::uint64_t* own_bank,
                        std::vector<const std::uint64_t*>& bases) const;
 

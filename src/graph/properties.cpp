@@ -142,6 +142,42 @@ std::size_t girth(const Graph& g) {
   return best;
 }
 
+bool girth_at_least(const Graph& g, std::size_t k) {
+  // A simple graph (the constructor rejects loops and parallel edges) has
+  // no cycle shorter than 3.
+  if (k <= 3) return true;
+  constexpr NodeId kNone = static_cast<NodeId>(-1);
+  // A cycle of length L < k through the source closes on a non-tree edge
+  // whose first-processed endpoint sits at depth <= (L - 1) / 2, with the
+  // other endpoint at most one deeper: expanding depths below ceil(k/2)
+  // finds it.
+  const std::size_t radius = k / 2 + k % 2;
+  std::vector<std::size_t> dist(g.num_nodes(), SIZE_MAX);
+  std::vector<NodeId> parent(g.num_nodes(), kNone);
+  std::vector<NodeId> visited;  // BFS queue and reset list in one
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    dist[s] = 0;
+    parent[s] = kNone;
+    visited.push_back(s);
+    for (std::size_t head = 0; head < visited.size(); ++head) {
+      const NodeId v = visited[head];
+      if (dist[v] >= radius) break;  // BFS order: every later node is too
+      for (NodeId w : g.neighbors(v)) {
+        if (dist[w] == SIZE_MAX) {
+          dist[w] = dist[v] + 1;
+          parent[w] = v;
+          visited.push_back(w);
+        } else if (w != parent[v] && dist[v] + dist[w] + 1 < k) {
+          return false;
+        }
+      }
+    }
+    for (const NodeId v : visited) dist[v] = SIZE_MAX;
+    visited.clear();
+  }
+  return true;
+}
+
 Graph power(const Graph& g, std::size_t k) {
   DS_CHECK(k >= 1);
   std::vector<Edge> edges;

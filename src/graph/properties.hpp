@@ -27,6 +27,12 @@ std::vector<NodeId> shortest_cycle(const Graph& g);
 /// Girth: length of a shortest cycle, or SIZE_MAX for forests. O(n·m).
 std::size_t girth(const Graph& g);
 
+/// `girth(g) >= k`, answered by a BFS to radius ceil(k/2) from each source
+/// that stops at the first cycle shorter than k. Each source costs only its
+/// ball, and the BFS state is reset through the visited list, so nothing is
+/// allocated per source.
+bool girth_at_least(const Graph& g, std::size_t k);
+
 /// The k-th power of `g`: same nodes, an edge between any two distinct nodes
 /// at distance <= k in `g`. Used to color B² and B⁴ for the SLOCAL-to-LOCAL
 /// compilation steps (Lemma 2.1, Theorem 5.2).

@@ -292,7 +292,7 @@ Coloring high_girth_det_split(const graph::BipartiteGraph& b, Rng& rng,
                "uncolored neighbors");
   const graph::Graph& unified = b.unified();
   if (config.check_girth) {
-    DS_CHECK_MSG(graph::girth(unified) >= 10,
+    DS_CHECK_MSG(graph::girth_at_least(unified, 10),
                  "high_girth_det_split requires girth >= 10");
   }
   HighGirthInfo local_info;
@@ -335,7 +335,7 @@ Coloring high_girth_rand_split(const graph::BipartiteGraph& b, Rng& rng,
                "need min left degree >= 5 so unsatisfied nodes keep >= 2 "
                "uncolored neighbors");
   if (config.check_girth) {
-    DS_CHECK_MSG(graph::girth(b.unified()) >= 10,
+    DS_CHECK_MSG(graph::girth_at_least(b.unified(), 10),
                  "high_girth_rand_split requires girth >= 10");
   }
   HighGirthInfo local_info;

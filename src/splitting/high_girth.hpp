@@ -38,8 +38,8 @@ struct HighGirthConfig {
   double outer_s = 3.0;
   /// Tilt of the A1/A2 colored-count tails.
   double tail_s = 0.6931471805599453;  // ln 2
-  /// Verify girth(B) >= 10 before running (O(n·m); disable for big sweeps
-  /// where the generator already guarantees it).
+  /// Verify girth(B) >= 10 before running (a radius-5 BFS per node;
+  /// disable for big sweeps where the generator already guarantees it).
   bool check_girth = true;
 };
 

@@ -40,14 +40,13 @@ SolveResult solve_weak_splitting(const graph::BipartiteGraph& b,
   const std::size_t n = std::max<std::size_t>(4, b.num_nodes());
   const double log_n = std::log2(static_cast<double>(n));
 
-  // Girth is an all-sources BFS, so it is computed only when the
-  // high-girth branch is reached (δ >= 8 and every earlier branch declined).
+  // The girth test is a bounded BFS from every node, so it runs only when
+  // the high-girth branch is reached (δ >= 8 and every earlier branch
+  // declined).
   const auto high_girth = [&] {
     if (delta < 8) return false;
-    const std::size_t girth = options.girth_hint != 0
-                                  ? options.girth_hint
-                                  : graph::girth(b.unified());
-    return girth >= 10;
+    return options.girth_hint != 0 ? options.girth_hint >= 10
+                                   : graph::girth_at_least(b.unified(), 10);
   };
 
   if (!options.deterministic &&

@@ -223,7 +223,8 @@ TEST(HaloTransport, ShipPatchRoundtrip) {
   }
   for (std::size_t w = 0; w < 2; ++w) {
     transport.patch(w, arenas[w].data(), epoch);
-    auto bases = transport.bank_bases(w, banks[w].data());
+    std::vector<const std::uint64_t*> bases;
+    transport.fill_bank_bases(w, banks[w].data(), bases);
     for (graph::NodeId v = part.first_node(w); v < part.last_node(w); ++v) {
       local::Inbox inbox(
           arenas[w].data() + (topo.port_offset(v) - part.port_base(w)),

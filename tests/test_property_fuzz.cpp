@@ -128,6 +128,27 @@ TEST_P(BipartiteZoo, SolverFacadeAlwaysVerifiesBothModes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BipartiteZoo, ::testing::Values(1, 2, 3));
 
+TEST(GirthAtLeast, AgreesWithGirthOnBothZoosAndCycles) {
+  std::vector<NamedGraph> graphs = graph_zoo(1);
+  for (auto& [name, b] : bipartite_zoo(1)) {
+    graphs.push_back({name, b.unified()});
+  }
+  std::vector<std::size_t> girths;
+  for (const auto& named : graphs) girths.push_back(graph::girth(named.g));
+  for (std::size_t k = 3; k <= 12; ++k) {
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      EXPECT_EQ(graph::girth_at_least(graphs[i].g, k), girths[i] >= k)
+          << graphs[i].name << " girth=" << girths[i] << " k=" << k;
+    }
+    // The boundary: a cycle just shorter than, equal to and longer than k.
+    for (std::size_t len : {k - 1, k, k + 1}) {
+      if (len < 3) continue;
+      EXPECT_EQ(graph::girth_at_least(graph::gen::cycle(len), k), len >= k)
+          << "C_" << len << " k=" << k;
+    }
+  }
+}
+
 TEST(FailureInjection, VerifiersRejectCorruptedOutputs) {
   Rng rng(7);
   const auto b = graph::gen::random_biregular(32, 64, 16, rng);
